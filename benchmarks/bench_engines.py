@@ -55,6 +55,17 @@ def test_revenue_evaluation_benchmark(benchmark):
     assert rates.block_rate == pytest.approx(1.0)
 
 
+def test_generic_chain_solve_benchmark(benchmark):
+    """Enumerate the chain from Python objects and solve it, with no pricing at all.
+
+    The ``--check`` control for the compiled revenue path: one full
+    ``revenue_rates`` point (solve and pricing) must take at most a third of
+    this in the same run.
+    """
+    result = benchmark(lambda: stationary_distribution(build_selfish_mining_chain(PARAMS, max_lead=60)))
+    assert result.total_probability() == pytest.approx(1.0)
+
+
 def test_threshold_search_benchmark(benchmark):
     model = RevenueModel(FlatUncleSchedule(0.5), max_lead=30)
     result = benchmark.pedantic(

@@ -39,7 +39,8 @@ general event loop on the same workload (the PR 6 batched event core), that the
 resilient dispatcher stays near a bare pool.map (PR 7), that the pack-file
 read path beats the loose-entry path by at least 3x (the PR 9 compaction tier),
 that the array-backed chain core beats the legacy object tree on the same
-workload, and — at full scale only — that the simulator benchmarks beat the
+workload, that one compiled ``revenue_rates`` point costs at most a third of
+enumerating and solving the same chain generically, and — at full scale only — that the simulator benchmarks beat the
 recorded PR 9 era (the PR 10 flat chain core).
 
 Records made from a dirty working tree are marked as such and loudly warned
@@ -432,6 +433,30 @@ def check_array_tree_beats_object_tree(records: list[dict]) -> None:
     )
 
 
+def check_compiled_revenue_beats_generic_solve(records: list[dict]) -> None:
+    """Assert one compiled revenue point costs at most a third of a generic solve.
+
+    Both run in the same invocation: the generic benchmark enumerates the
+    ``max_lead=60`` chain from Python objects and solves it; the compiled point
+    re-rates the cached structure, solves, and prices every rate.
+    """
+    by_name = {record["name"]: record for record in records}
+    point = by_name.get("test_revenue_evaluation_benchmark")
+    generic = by_name.get("test_generic_chain_solve_benchmark")
+    if point is None or generic is None:
+        raise SystemExit("--check needs both analytical solve benchmarks in the selection")
+    ratio = generic["mean_s"] / point["mean_s"]
+    if ratio < 3.0:
+        raise SystemExit(
+            "compiled revenue point is not 3x faster than the generic enumerate-and-solve: "
+            f"point {point['mean_s']:.4f}s vs generic {generic['mean_s']:.4f}s ({ratio:.2f}x)"
+        )
+    print(
+        f"check OK: compiled revenue point {point['mean_s'] * 1e3:.2f}ms vs generic "
+        f"enumerate-and-solve {generic['mean_s'] * 1e3:.2f}ms ({ratio:.1f}x)"
+    )
+
+
 def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
     """Assert the simulator benchmarks beat the recorded PR 9 era (full scale).
 
@@ -536,8 +561,9 @@ def main(argv: list[str] | None = None) -> None:
             "the zero-latency fast path beats the general event loop, the "
             "resilient dispatcher stays near a bare pool.map, pack-file "
             "reads beat loose-entry reads by 3x, the array chain core beats "
-            "the object tree, and (at full scale) the simulators beat the "
-            "recorded PR 9 era"
+            "the object tree, a compiled revenue point costs at most a third "
+            "of a generic enumerate-and-solve, and (at full scale) the "
+            "simulators beat the recorded PR 9 era"
         ),
     )
     parser.add_argument(
@@ -602,6 +628,7 @@ def main(argv: list[str] | None = None) -> None:
         check_dispatcher_overhead(records)
         check_pack_reads_beat_loose(records)
         check_array_tree_beats_object_tree(records)
+        check_compiled_revenue_beats_generic_solve(records)
         check_simulators_beat_pr9(records, scale)
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import StateSpaceError
-from ..markov.transitions import SelfishTransition, TransitionKind
+from ..markov.transitions import HONEST_AGAINST_LEAD, SelfishTransition, TransitionKind, uncle_distance
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import RewardSchedule
@@ -316,14 +316,8 @@ def transition_rewards(
         return _case_5(params, schedule, transition)
     if kind is TransitionKind.POOL_EXTENDS_PRIVATE_LEAD:
         return _pool_certain_regular(params, schedule, transition)
-    if kind is TransitionKind.HONEST_ON_PREFIX_LONG_LEAD:
-        return _honest_becomes_uncle(params, schedule, transition, distance=source.lead)
-    if kind is TransitionKind.HONEST_ON_PREFIX_LEAD_TWO:
-        return _honest_becomes_uncle(params, schedule, transition, distance=2)
-    if kind is TransitionKind.HONEST_CLOSES_LEAD_TWO:
-        return _honest_becomes_uncle(params, schedule, transition, distance=2)
-    if kind is TransitionKind.HONEST_FORKS_LONG_LEAD:
-        return _honest_becomes_uncle(params, schedule, transition, distance=source.private)
+    if kind in HONEST_AGAINST_LEAD:
+        return _honest_becomes_uncle(params, schedule, transition, distance=uncle_distance(kind, source))
     if kind is TransitionKind.HONEST_ON_HONEST_BRANCH:
         return _no_reward(params, schedule, transition)
     if kind is TransitionKind.HONEST_ON_HONEST_LEAD_TWO:

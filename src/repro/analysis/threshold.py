@@ -85,9 +85,9 @@ def profitable_threshold(
         Reward schedule; defaults to the Ethereum Byzantium rules.  Ignored when a
         pre-built ``model`` is supplied.
     model:
-        Optionally, a pre-configured :class:`RevenueModel` to reuse across calls
-        (recommended when sweeping ``gamma``; building the state space dominates the
-        cost otherwise).
+        Optionally, a pre-configured :class:`RevenueModel` (any schedule).  Building
+        one is cheap: the chain structure is compiled once per truncation and
+        cached, and each evaluated point costs one sparse solve plus the pricing.
     max_lead:
         Truncation used when building a model on the fly.  60 keeps the truncation
         error below ``0.45**60 ~ 1e-21`` for the paper's ``alpha <= 0.45`` while being

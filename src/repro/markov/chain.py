@@ -15,6 +15,7 @@ assert it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
@@ -70,12 +71,39 @@ class MarkovChain(Generic[StateT]):
             if state in self._index:
                 raise StateSpaceError(f"duplicate state {state!r} in state list")
             self._index[state] = position
-        self._transitions: tuple[Transition[StateT], ...] = tuple(transitions)
+        self._transitions: tuple[Transition[StateT], ...] | None = tuple(transitions)
         for transition in self._transitions:
             if transition.source not in self._index:
                 raise StateSpaceError(f"transition source {transition.source!r} not in state list")
             if transition.target not in self._index:
                 raise StateSpaceError(f"transition target {transition.target!r} not in state list")
+        # Array form of the transitions: what every matrix below is built from.
+        self._sources = np.array([self._index[t.source] for t in self._transitions], dtype=np.intp)
+        self._targets = np.array([self._index[t.target] for t in self._transitions], dtype=np.intp)
+        self._rates = np.array([t.rate for t in self._transitions], dtype=float)
+        self._labels = tuple(t.label for t in self._transitions)
+        # Read-only: with_rates shares them between chains, and callers see them.
+        for array in (self._sources, self._targets, self._rates):
+            array.flags.writeable = False
+
+    def with_rates(self, rates: Sequence[float] | np.ndarray) -> "MarkovChain[StateT]":
+        """This chain's states and transition structure with new per-transition ``rates``.
+
+        ``rates[k]`` replaces the rate of ``transitions[k]``.  The states, their index
+        and the source/target arrays are shared, not copied, and the
+        :class:`Transition` objects are only built if :attr:`transitions` is read, so
+        re-rating a fixed structure costs a vector copy.
+        """
+        rates = np.array(rates, dtype=float)
+        if rates.shape != self._rates.shape:
+            raise StateSpaceError(f"expected {self._rates.size} rates, got shape {rates.shape}")
+        if np.any(rates < 0):
+            raise StateSpaceError("transition rates must be non-negative")
+        rates.flags.writeable = False
+        chain = copy.copy(self)
+        chain._rates = rates
+        chain._transitions = None
+        return chain
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -85,8 +113,26 @@ class MarkovChain(Generic[StateT]):
 
     @property
     def transitions(self) -> tuple[Transition[StateT], ...]:
-        """All transitions as given at construction time."""
+        """All transitions, in construction order."""
+        if self._transitions is None:
+            states = self._states
+            self._transitions = tuple(
+                Transition(states[source], states[target], rate, label)
+                for source, target, rate, label in zip(
+                    self._sources.tolist(), self._targets.tolist(), self._rates.tolist(), self._labels
+                )
+            )
         return self._transitions
+
+    @property
+    def source_indices(self) -> np.ndarray:
+        """Dense index of each transition's source state, in transition order."""
+        return self._sources
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Rate of each transition, in transition order."""
+        return self._rates
 
     def __len__(self) -> int:
         return len(self._states)
@@ -107,7 +153,7 @@ class MarkovChain(Generic[StateT]):
 
     def outgoing(self, state: StateT) -> list[Transition[StateT]]:
         """All transitions leaving ``state``."""
-        return [t for t in self._transitions if t.source == state]
+        return [t for t in self.transitions if t.source == state]
 
     def outgoing_rate(self, state: StateT) -> float:
         """Total rate leaving ``state``."""
@@ -121,28 +167,32 @@ class MarkovChain(Generic[StateT]):
         reward analysis, where a self-loop still corresponds to a block being mined).
         """
         size = len(self)
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for transition in self._transitions:
-            rows.append(self._index[transition.source])
-            cols.append(self._index[transition.target])
-            data.append(transition.rate)
-        matrix = sparse.coo_matrix((data, (rows, cols)), shape=(size, size))
+        matrix = sparse.coo_matrix((self._rates, (self._sources, self._targets)), shape=(size, size))
         return matrix.tocsr()
 
     def generator_matrix(self) -> sparse.csr_matrix:
         """Infinitesimal generator ``Q`` (off-diagonal rates, rows summing to zero).
 
         Self-loops cancel out of the generator: a transition back into the same state
-        does not change the state and therefore contributes nothing to ``Q``.
+        does not change the state and therefore contributes nothing to ``Q``.  The
+        matrix is assembled in coordinate form in one step: the off-diagonal rates
+        (parallel transitions add up) plus minus each state's total out-rate on the
+        diagonal.
         """
-        rate = self.rate_matrix().tolil()
-        rate.setdiag(0.0)
-        rate = rate.tocsr()
-        out_rates = np.asarray(rate.sum(axis=1)).ravel()
-        generator = rate - sparse.diags(out_rates)
-        return generator.tocsr()
+        size = len(self)
+        moving = self._sources != self._targets
+        sources = self._sources[moving]
+        rates = self._rates[moving]
+        diagonal = np.arange(size)
+        out_rates = np.bincount(sources, weights=rates, minlength=size)
+        matrix = sparse.coo_matrix(
+            (
+                np.concatenate([rates, -out_rates]),
+                (np.concatenate([sources, diagonal]), np.concatenate([self._targets[moving], diagonal])),
+            ),
+            shape=(size, size),
+        )
+        return matrix.tocsr()
 
     def transition_probability_matrix(self) -> sparse.csr_matrix:
         """Jump-chain transition probabilities (rows normalised to sum to 1).
@@ -195,7 +245,7 @@ class MarkovChain(Generic[StateT]):
 
     def describe(self) -> str:
         """Short human-readable description."""
-        return f"MarkovChain(states={len(self)}, transitions={len(self._transitions)})"
+        return f"MarkovChain(states={len(self)}, transitions={self._rates.size})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()

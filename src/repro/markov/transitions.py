@@ -32,13 +32,21 @@ keeps a unit exit rate.  The redirected probability mass decays like
 ``(alpha / beta) ** max_lead`` (the pool's lead is a biased random walk) and is
 negligible at the default truncations used by the analysis (the paper makes the same
 approximation, footnote 3).
+
+The structure (targets and kinds) does not depend on ``(alpha, gamma)``; only the
+rates do, and :func:`case_rates` is the one place they are written.
+:func:`compiled_selfish_chain` compiles the structure once per truncation so the
+analysis re-rates it per parameter point instead of enumerating it again.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from ..params import MiningParams
 from .chain import MarkovChain, Transition
@@ -90,29 +98,61 @@ class SelfishTransition:
         return (self.source.encode(), self.target.encode(), self.kind.case_number)
 
 
-def transitions_from_state(state: State, params: MiningParams, *, max_lead: int) -> Iterator[SelfishTransition]:
-    """Yield every outgoing transition of ``state`` under the paper's strategy.
+def case_rates(params: MiningParams) -> tuple[float, ...]:
+    """Rate of every Appendix-B case at ``params``, indexed by case number (entry 0 unused)."""
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    on_prefix, on_honest = beta * gamma, beta * (1.0 - gamma)
+    # Entry 0, then cases 1-12 in order (see the table in the module docstring).
+    return (0.0, beta, alpha, alpha, beta, alpha + beta, alpha, on_prefix, on_prefix, beta, beta, on_honest, on_honest)
 
+
+#: Cases 7-10: an honest block mined against a pool lead, which it cannot win.
+HONEST_AGAINST_LEAD = frozenset(
+    {
+        TransitionKind.HONEST_ON_PREFIX_LONG_LEAD,
+        TransitionKind.HONEST_ON_PREFIX_LEAD_TWO,
+        TransitionKind.HONEST_CLOSES_LEAD_TWO,
+        TransitionKind.HONEST_FORKS_LONG_LEAD,
+    }
+)
+
+
+def uncle_distance(kind: TransitionKind, source: State) -> int | None:
+    """Referencing distance of the target block of a ``kind`` transition out of ``source``.
+
+    The pool's first withheld block (case 2) and the honest block forcing a tie
+    (case 4) can only become uncles at distance 1; an honest block mined against a
+    pool lead (cases 7-10) becomes an uncle at the lead's length.  Every other
+    target block is regular or never referenced, so it has no distance.
+    """
+    if kind in (TransitionKind.POOL_HIDES_FIRST_BLOCK, TransitionKind.HONEST_FORCES_TIE):
+        return 1
+    if kind in HONEST_AGAINST_LEAD:
+        return source.lead
+    return None
+
+
+def _successors(state: State, max_lead: int) -> Iterator[tuple[State, TransitionKind]]:
+    """The ``(target, kind)`` pair of every transition out of ``state``.
+
+    The structure does not depend on ``(alpha, gamma)``; :func:`case_rates` prices it.
     The truncation ``max_lead`` only affects case 6: from a state at the truncation
     boundary the pool-extension transition becomes a self-loop.
     """
-    alpha = params.alpha
-    beta = params.beta
-    gamma = params.gamma
     i, j = state.private, state.public
 
     if state == State(0, 0):
-        yield SelfishTransition(state, State(0, 0), beta, TransitionKind.HONEST_EXTENDS_CONSENSUS)
-        yield SelfishTransition(state, State(1, 0), alpha, TransitionKind.POOL_HIDES_FIRST_BLOCK)
+        yield State(0, 0), TransitionKind.HONEST_EXTENDS_CONSENSUS
+        yield State(1, 0), TransitionKind.POOL_HIDES_FIRST_BLOCK
         return
 
     if state == State(1, 0):
-        yield SelfishTransition(state, State(2, 0), alpha, TransitionKind.POOL_BUILDS_LEAD_OF_TWO)
-        yield SelfishTransition(state, State(1, 1), beta, TransitionKind.HONEST_FORCES_TIE)
+        yield State(2, 0), TransitionKind.POOL_BUILDS_LEAD_OF_TWO
+        yield State(1, 1), TransitionKind.HONEST_FORCES_TIE
         return
 
     if state == State(1, 1):
-        yield SelfishTransition(state, State(0, 0), alpha + beta, TransitionKind.TIE_RESOLVED)
+        yield State(0, 0), TransitionKind.TIE_RESOLVED
         return
 
     if state.lead < 2:
@@ -120,30 +160,34 @@ def transitions_from_state(state: State, params: MiningParams, *, max_lead: int)
 
     # Pool extends its private branch (case 6); redirected to a self-loop at the
     # truncation boundary so the exit rate stays 1.
-    pool_target = State(i + 1, j) if i + 1 <= max_lead else state
-    yield SelfishTransition(state, pool_target, alpha, TransitionKind.POOL_EXTENDS_PRIVATE_LEAD)
+    yield (State(i + 1, j) if i + 1 <= max_lead else state), TransitionKind.POOL_EXTENDS_PRIVATE_LEAD
 
     if j == 0:
         if i == 2:
             # Case 9: honest miners close the gap to one; the pool overrides.
-            yield SelfishTransition(state, State(0, 0), beta, TransitionKind.HONEST_CLOSES_LEAD_TWO)
+            yield State(0, 0), TransitionKind.HONEST_CLOSES_LEAD_TWO
         else:
             # Case 10: honest miners fork off the consensus tip; the pool answers by
             # publishing its first withheld block.
-            yield SelfishTransition(state, State(i, 1), beta, TransitionKind.HONEST_FORKS_LONG_LEAD)
+            yield State(i, 1), TransitionKind.HONEST_FORKS_LONG_LEAD
         return
 
     # j >= 1: there are two public branches of length j (the pool's published prefix
     # and an honest branch); gamma decides which one the honest block extends.
     if state.lead == 2:
-        yield SelfishTransition(state, State(0, 0), beta * gamma, TransitionKind.HONEST_ON_PREFIX_LEAD_TWO)
-        yield SelfishTransition(
-            state, State(0, 0), beta * (1.0 - gamma), TransitionKind.HONEST_ON_HONEST_LEAD_TWO
-        )
+        yield State(0, 0), TransitionKind.HONEST_ON_PREFIX_LEAD_TWO
+        yield State(0, 0), TransitionKind.HONEST_ON_HONEST_LEAD_TWO
         return
 
-    yield SelfishTransition(state, State(i - j, 1), beta * gamma, TransitionKind.HONEST_ON_PREFIX_LONG_LEAD)
-    yield SelfishTransition(state, State(i, j + 1), beta * (1.0 - gamma), TransitionKind.HONEST_ON_HONEST_BRANCH)
+    yield State(i - j, 1), TransitionKind.HONEST_ON_PREFIX_LONG_LEAD
+    yield State(i, j + 1), TransitionKind.HONEST_ON_HONEST_BRANCH
+
+
+def transitions_from_state(state: State, params: MiningParams, *, max_lead: int) -> Iterator[SelfishTransition]:
+    """Yield every outgoing transition of ``state`` under the paper's strategy at ``params``."""
+    rates = case_rates(params)
+    for target, kind in _successors(state, max_lead):
+        yield SelfishTransition(state, target, rates[kind.value], kind)
 
 
 def selfish_mining_transitions(params: MiningParams, space: StateSpace) -> list[SelfishTransition]:
@@ -181,3 +225,60 @@ def build_selfish_mining_chain(
     chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
     chain.validate(expect_unit_exit_rate=True)
     return chain
+
+
+class CompiledSelfishChain:
+    """The truncated chain's transition structure, compiled once per ``max_lead``.
+
+    Holds, per transition in :func:`selfish_mining_transitions` order, the source
+    state index, the Appendix-B case number and the uncle distance (0 where there
+    is none), and a template :class:`MarkovChain` with the targets and labels.
+    Only the rates depend on ``(alpha, gamma)``: :meth:`chain` fills them in from
+    :func:`case_rates` with one gather, so a parameter point costs a vector copy
+    instead of an enumeration.  Get instances from :func:`compiled_selfish_chain`,
+    which caches one per truncation.
+
+    A transition's Appendix-B reward record depends on its case and uncle distance
+    only, so the transitions fall into pricing groups, about two per lead length:
+    ``groups[k]`` is the group of transition ``k`` and :meth:`representatives`
+    returns one transition per group.
+    """
+
+    def __init__(self, max_lead: int) -> None:
+        self.space = StateSpace(max_lead)
+        structure = [
+            (state, target, kind)
+            for state in self.space
+            for target, kind in _successors(state, self.space.max_lead)
+        ]
+        self.cases = np.array([kind.value for _, _, kind in structure], dtype=np.intp)
+        self.uncle_distances = np.array(
+            [uncle_distance(kind, state) or 0 for state, _, kind in structure], dtype=np.intp
+        )
+        self._template = MarkovChain(
+            self.space.states,
+            [Transition(state, target, 0.0, kind.name) for state, target, kind in structure],
+        )
+        self.sources = self._template.source_indices
+        keys = self.cases * (self.space.max_lead + 1) + self.uncle_distances
+        _, heads, self.groups = np.unique(keys, return_index=True, return_inverse=True)
+        self.group_distances = self.uncle_distances[heads]
+        self._heads = [structure[head] for head in heads.tolist()]
+        # Every caller shares the cached instance.
+        for array in (self.cases, self.uncle_distances, self.groups, self.group_distances):
+            array.flags.writeable = False
+
+    def representatives(self, params: MiningParams) -> list[SelfishTransition]:
+        """The first transition of every pricing group, rated at ``params``."""
+        rates = case_rates(params)
+        return [SelfishTransition(state, target, rates[kind.value], kind) for state, target, kind in self._heads]
+
+    def chain(self, params: MiningParams) -> MarkovChain[State]:
+        """The truncated chain at ``params``; equal to :func:`build_selfish_mining_chain`'s."""
+        return self._template.with_rates(np.array(case_rates(params))[self.cases])
+
+
+@functools.lru_cache(maxsize=8)
+def compiled_selfish_chain(max_lead: int) -> CompiledSelfishChain:
+    """The :class:`CompiledSelfishChain` of ``max_lead``, built on first use and cached."""
+    return CompiledSelfishChain(max_lead)

@@ -182,9 +182,9 @@ class MdpSolver:
 
         Builds the induced Markov chain, solves its stationary distribution with
         the package's sparse direct solver, and accumulates the per-transition
-        Appendix-B records — the identical arithmetic
-        :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` performs, so the
-        selfish-pinned policy reproduces the paper's revenue exactly.
+        Appendix-B records, so the selfish-pinned policy reproduces
+        :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` (which sums the
+        same records per pricing group) to round-off.
         """
         model = self.model
         chosen = [model.actions[int(flat)] for flat in policy]

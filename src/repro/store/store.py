@@ -338,35 +338,41 @@ class ResultStore:
             namespace=namespace, key=key, path=path, token=token,
             expires_at=record["expires_at"],
         )
+        # The record is written to a private file first and linked into the slot,
+        # so the claim appears complete or not at all.  A slot created empty and
+        # filled afterwards can be read by a racing claimer as unreadable, hence
+        # stale, and stolen while its owner computes too.
         try:
-            descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            descriptor, temp_name = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{key[:8]}-claim-", suffix=".tmp"
+            )
+            with os.fdopen(descriptor, "w") as handle:
+                handle.write(body)
+        except OSError as error:
+            raise StoreLeaseError(f"could not create claim {path}: {error}") from error
+        temp = Path(temp_name)
+        try:
+            os.link(temp, path)
         except FileExistsError:
             holder = self._read_claim(path)
             if holder is not None and not self._claim_stale(holder):
+                self._discard(temp)
                 return None
             # Steal: atomic replace, then read-back verification so that two
             # simultaneous stealers cannot both believe they won.
-            steal_descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-claim-", suffix=".tmp"
-            )
             try:
-                with os.fdopen(steal_descriptor, "w") as handle:
-                    handle.write(body)
-                os.replace(temp_name, path)
+                os.replace(temp, path)
             except OSError as error:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
+                self._discard(temp)
                 raise StoreLeaseError(f"could not steal stale claim {path}: {error}") from error
             current = self._read_claim(path)
             if current is None or current.get("token") != token:
                 return None
             return lease
         except OSError as error:
+            self._discard(temp)
             raise StoreLeaseError(f"could not create claim {path}: {error}") from error
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(body)
+        self._discard(temp)
         return lease
 
     def release(self, lease: Lease) -> bool:

@@ -438,12 +438,15 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                 if settled < len(tasks):  # pragma: no cover - scheduler invariant
                     raise ExecutionError("dispatcher stalled with unsettled tasks")
                 break
-            # Wake at the nearest deadline or backoff expiry, whichever first.
+            # Wake at the nearest deadline or backoff expiry, whichever first.  A
+            # backoff expiry only matters while a worker slot is free: with every
+            # worker busy, an eligible task has nowhere to go until a pipe turns
+            # readable, and counting it would make the wait return at once.
             wait_timeout: float | None = None
             deadlines = [worker.deadline for worker in busy if worker.deadline is not None]
             if deadlines:
                 wait_timeout = max(0.0, min(deadlines) - time.monotonic())
-            if pending:
+            if pending and len(busy) < workers_wanted:
                 until_eligible = max(0.0, pending[0][0] - time.monotonic())
                 wait_timeout = (
                     until_eligible if wait_timeout is None else min(wait_timeout, until_eligible)

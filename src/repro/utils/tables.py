@@ -17,7 +17,11 @@ def _format_cell(value: object, float_format: str) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return format(value, float_format)
+        text = format(value, float_format)
+        # Round-off that rounds to zero prints unsigned, not as "-0.0000".
+        if text.startswith("-") and not any(digit in text for digit in "123456789"):
+            return text[1:]
+        return text
     return str(value)
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import StateSpaceError
 from repro.markov.chain import MarkovChain, Transition
+from repro.markov.transitions import build_selfish_mining_chain
+from repro.params import MiningParams
 
 
 def two_state_chain(p: float = 0.3, q: float = 0.6) -> MarkovChain[str]:
@@ -90,6 +93,71 @@ class TestMatrices:
         chain = MarkovChain(["a", "b"], [Transition("a", "b", 1.0)])
         probabilities = chain.transition_probability_matrix().toarray()
         assert probabilities[1, 1] == pytest.approx(1.0)
+
+
+def lil_generator(chain: MarkovChain) -> sparse.csr_matrix:
+    """The generator assembled the old way: rate matrix, LIL ``setdiag``, subtract out-rates."""
+    rate = chain.rate_matrix().tolil()
+    rate.setdiag(0.0)
+    rate = rate.tocsr()
+    out_rates = np.asarray(rate.sum(axis=1)).ravel()
+    return (rate - sparse.diags(out_rates)).tocsr()
+
+
+class TestGeneratorAssembly:
+    def test_matches_lil_construction_with_self_loops_and_parallel_transitions(self):
+        chain = MarkovChain(
+            ["a", "b", "c", "d"],
+            [
+                Transition("a", "a", 0.25),
+                Transition("a", "b", 0.125),
+                Transition("a", "b", 0.375),
+                Transition("a", "c", 0.25),
+                Transition("b", "b", 1.0),
+                Transition("c", "a", 0.5),
+                Transition("c", "a", 0.5),
+                Transition("c", "d", 0.75),
+                Transition("d", "a", 0.0),
+            ],
+        )
+        assert np.array_equal(chain.generator_matrix().toarray(), lil_generator(chain).toarray())
+
+    def test_matches_lil_construction_on_random_chains(self):
+        rng = np.random.default_rng(7)
+        states = list(range(12))
+        transitions = [
+            Transition(int(source), int(target), float(rate))
+            for source, target, rate in zip(
+                rng.integers(0, 12, size=60), rng.integers(0, 12, size=60), rng.random(60)
+            )
+        ]
+        chain = MarkovChain(states, transitions)
+        assert np.allclose(chain.generator_matrix().toarray(), lil_generator(chain).toarray(), rtol=0, atol=1e-15)
+
+    def test_matches_lil_construction_on_the_selfish_mining_chain(self):
+        # Diagonals sum the same out-rates in another order, so they may differ in
+        # the last bit; the stored pattern is identical.
+        chain = build_selfish_mining_chain(MiningParams(alpha=0.3, gamma=0.5), max_lead=20)
+        new, old = chain.generator_matrix().toarray(), lil_generator(chain).toarray()
+        assert np.array_equal(new != 0.0, old != 0.0)
+        assert np.allclose(new, old, rtol=0, atol=1e-15)
+
+
+class TestWithRates:
+    def test_replaces_rates_and_keeps_structure(self):
+        chain = two_state_chain(p=0.3, q=0.6)
+        rerated = chain.with_rates([0.5, 0.5, 0.25, 0.75])
+        assert rerated.states == chain.states
+        assert [t.rate for t in rerated.transitions] == [0.5, 0.5, 0.25, 0.75]
+        assert [t.rate for t in chain.transitions] == [0.3, 0.7, 0.6, pytest.approx(0.4)]
+        assert rerated.generator_matrix().toarray()[0, 1] == 0.5
+
+    def test_rejects_negative_or_misshaped_rates(self):
+        chain = two_state_chain()
+        with pytest.raises(StateSpaceError):
+            chain.with_rates([0.5, -0.5, 0.25, 0.75])
+        with pytest.raises(StateSpaceError):
+            chain.with_rates([0.5, 0.5])
 
 
 class TestValidation:

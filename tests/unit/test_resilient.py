@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.errors import ParameterError, RetryExhaustedError
+from repro.utils import resilient
 from repro.utils.resilient import (
     DEFAULT_POLICY,
     DEFERRED,
@@ -232,6 +233,26 @@ class TestPoolPath:
         )
         assert outcomes == [25, 36]
         assert claims == [0, 1]  # the redispatch took no second claim
+
+    def test_dispatcher_blocks_while_every_worker_is_busy(self, monkeypatch):
+        """Regression: a pending task made the dispatcher spin on ``connection_wait``.
+
+        With both workers busy and tasks still queued, the wait timeout used to
+        be the queued task's (already passed) eligibility time, so the wait
+        returned at once and the loop polled hundreds of thousands of times per
+        sweep.  It must block until a worker reports: a handful of waits per task.
+        """
+        calls = []
+        real_wait = resilient.connection_wait
+
+        def counting_wait(connections, timeout=None):
+            calls.append(timeout)
+            return real_wait(connections, timeout)
+
+        monkeypatch.setattr(resilient, "connection_wait", counting_wait)
+        tasks = list(range(20))
+        assert resilient_map(_sleep_briefly, tasks, max_workers=2, policy=FAST) == tasks
+        assert len(calls) <= 3 * len(tasks)
 
     def test_system_exit_settles_identically_on_both_paths(self):
         """Regression: serial and pool paths disagreed on BaseException tasks.

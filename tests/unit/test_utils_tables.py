@@ -36,6 +36,12 @@ class TestTable:
         assert "0.2" in table.render()
         assert "0.25" not in table.render()
 
+    def test_round_off_below_zero_prints_unsigned(self):
+        table = Table(headers=["x"])
+        table.add_row(-1e-17)
+        table.add_row(-0.25)
+        assert table.rows == [["0.0000"], ["-0.2500"]]
+
     def test_bool_rendering(self):
         table = Table(headers=["flag"])
         table.add_row(True)
