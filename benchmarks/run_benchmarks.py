@@ -40,7 +40,10 @@ resilient dispatcher stays near a bare pool.map (PR 7), that the pack-file
 read path beats the loose-entry path by at least 3x (the PR 9 compaction tier),
 that the array-backed chain core beats the legacy object tree on the same
 workload, that one compiled ``revenue_rates`` point costs at most a third of
-enumerating and solving the same chain generically, and — at full scale only — that the simulator benchmarks beat the
+enumerating and solving the same chain generically, that a chain-backend
+``run_many_grid`` at the default worker count (every usable CPU) beats the
+same grid at ``max_workers=1`` by at least 1.3x when two or more CPUs are
+usable, and — at full scale only — that the simulator benchmarks beat the
 recorded PR 9 era (the PR 10 flat chain core).
 
 Records made from a dirty working tree are marked as such and loudly warned
@@ -58,6 +61,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -177,6 +181,17 @@ OVERHEAD_PAIRS = (
 
 SMOKE_SCALE = 0.05
 
+#: The default-workers gate: a chain-backend grid of one cell per
+#: ``FAN_OUT_ALPHAS`` value x ``FAN_OUT_RUNS_PER_CELL`` runs of
+#: ``FAN_OUT_BLOCKS`` blocks, timed at the default worker count and at
+#: ``max_workers=1``.  The size is fixed (not scaled by ``--smoke``) so a run
+#: outweighs a worker's start-up.
+FAN_OUT_ALPHAS = (0.25, 0.35)
+FAN_OUT_RUNS_PER_CELL = 4
+FAN_OUT_BLOCKS = 20_000
+FAN_OUT_ROUNDS = 5
+FAN_OUT_FLOOR = 1.3
+
 
 def git_revision() -> dict:
     """The measured commit: SHA plus a dirty-tree marker (``unknown`` outside git)."""
@@ -222,6 +237,14 @@ def registry_contents() -> dict:
     }
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set; ``os.cpu_count()`` elsewhere)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def machine_info() -> dict:
     """The hardware/interpreter the numbers were measured on."""
     uname = platform.uname()
@@ -233,6 +256,7 @@ def machine_info() -> dict:
         "system": uname.system,
         "release": uname.release,
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
     }
 
 
@@ -457,6 +481,68 @@ def check_compiled_revenue_beats_generic_solve(records: list[dict]) -> None:
     )
 
 
+def measure_default_workers() -> dict:
+    """Time one chain grid at the default worker count and at ``max_workers=1``.
+
+    Both run in this process, alternating, ``FAN_OUT_ROUNDS`` times; the best
+    round of each is kept.  The two must settle to identical results.
+    """
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.params import MiningParams
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.runner import run_many_grid
+
+    configs = [
+        SimulationConfig(
+            params=MiningParams(alpha=alpha, gamma=0.5), num_blocks=FAN_OUT_BLOCKS, seed=2019
+        )
+        for alpha in FAN_OUT_ALPHAS
+    ]
+    best = {"serial": float("inf"), "default": float("inf")}
+    outputs = {}
+    for _ in range(FAN_OUT_ROUNDS):
+        for label, workers in (("serial", 1), ("default", None)):
+            start = time.perf_counter()
+            outputs[label] = run_many_grid(configs, FAN_OUT_RUNS_PER_CELL, max_workers=workers)
+            best[label] = min(best[label], time.perf_counter() - start)
+    if outputs["serial"] != outputs["default"]:
+        raise SystemExit("default-workers grid diverged from the serial grid")
+    return {
+        "runs": len(configs) * FAN_OUT_RUNS_PER_CELL,
+        "blocks": FAN_OUT_BLOCKS,
+        "usable_cpus": usable_cpus(),
+        "serial_s": best["serial"],
+        "default_s": best["default"],
+        "speedup": best["serial"] / best["default"],
+    }
+
+
+def check_default_workers_fan_out(measured: dict | None) -> None:
+    """Assert the default worker pool beats serial by ``FAN_OUT_FLOOR``.
+
+    ``measured`` is ``None`` when only one CPU is usable: there is nothing to
+    fan out over, so the gate is skipped with its reason.
+    """
+    if measured is None:
+        print(
+            f"check skipped: default-workers fan-out needs two usable CPUs, "
+            f"found {usable_cpus()}"
+        )
+        return
+    summary = (
+        f"{measured['runs']} x {measured['blocks']:,}-block chain runs on "
+        f"{measured['usable_cpus']} CPUs: default {measured['default_s']:.3f}s vs "
+        f"serial {measured['serial_s']:.3f}s ({measured['speedup']:.2f}x)"
+    )
+    if measured["speedup"] < FAN_OUT_FLOOR:
+        raise SystemExit(
+            f"default worker pool is not {FAN_OUT_FLOOR}x faster than serial: {summary}"
+        )
+    print(f"check OK: {summary}")
+
+
 def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
     """Assert the simulator benchmarks beat the recorded PR 9 era (full scale).
 
@@ -562,8 +648,9 @@ def main(argv: list[str] | None = None) -> None:
             "resilient dispatcher stays near a bare pool.map, pack-file "
             "reads beat loose-entry reads by 3x, the array chain core beats "
             "the object tree, a compiled revenue point costs at most a third "
-            "of a generic enumerate-and-solve, and (at full scale) the "
-            "simulators beat the recorded PR 9 era"
+            "of a generic enumerate-and-solve, the default worker pool beats "
+            "max_workers=1 by 1.3x on two or more usable CPUs, and (at full "
+            "scale) the simulators beat the recorded PR 9 era"
         ),
     )
     parser.add_argument(
@@ -598,6 +685,7 @@ def main(argv: list[str] | None = None) -> None:
     scale = SMOKE_SCALE if args.smoke else 1.0
     payload = run_suite(args.select, scale)
     records = summarise(payload, scale)
+    fan_out = measure_default_workers() if args.check and usable_cpus() >= 2 else None
     document = {
         "schema": 2,
         "created_by": "benchmarks/run_benchmarks.py",
@@ -612,6 +700,8 @@ def main(argv: list[str] | None = None) -> None:
         "smoke": args.smoke,
         "benchmarks": records,
     }
+    if fan_out is not None:
+        document["default_workers"] = fan_out
     args.output.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
     print(f"wrote {args.output} ({len(records)} benchmarks)")
     for record in records:
@@ -626,6 +716,7 @@ def main(argv: list[str] | None = None) -> None:
         check_vectorised_beats_scalar(records)
         check_fast_path_beats_event_loop(records)
         check_dispatcher_overhead(records)
+        check_default_workers_fan_out(fan_out)
         check_pack_reads_beat_loose(records)
         check_array_tree_beats_object_tree(records)
         check_compiled_revenue_beats_generic_solve(records)

@@ -18,8 +18,10 @@ Each sub-command prints the corresponding driver's text report to stdout.  All
 sub-commands share one set of flags (:class:`ExperimentOptions`):
 
 * ``--fast`` shrinks grids and simulations to smoke-test fidelity;
-* ``--workers`` fans independent work (simulation runs, threshold solves) out
-  over a process pool — results are bit-identical to a serial run;
+* ``--workers`` sets the worker processes for independent work.  Simulation
+  runs default to every usable CPU (``-j 1`` = serial in-process); threshold
+  solves stay serial unless ``--workers`` is given.  Results are bit-identical
+  to a serial run either way;
 * ``--backend`` selects the simulator behind the simulation-backed drivers
   (``chain``, ``markov`` or ``network``; the ``network`` experiment always runs
   its own backend);
@@ -227,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="fan independent runs/solves out over N worker processes (default: serial)",
+        help=(
+            "worker processes for independent work (default: every usable CPU for "
+            "simulation runs, serial for threshold solves; 1 = serial in-process; "
+            "results bit-identical)"
+        ),
     )
     parser.add_argument(
         "--backend",

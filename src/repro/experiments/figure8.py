@@ -161,8 +161,9 @@ def run_figure8(
     max_lead:
         Truncation of the analytical model.
     max_workers:
-        Fan the simulation runs behind every grid point out over a process pool
-        (bit-identical to serial).
+        Worker processes for the simulation runs behind every grid point
+        (default: every usable CPU; ``1`` = serial in-process; results
+        bit-identical).
     store:
         Optional :class:`~repro.store.ResultStore`: the overlay executes only
         the runs missing from the cache (a warm re-run does zero simulation

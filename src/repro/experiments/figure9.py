@@ -163,8 +163,9 @@ def run_figure9(
     Fig. 8).  ``include_simulation`` adds a simulated overlay of the Ethereum
     ``Ku(.)`` curve — the one curve whose reward window the protocol actually
     enforces — on the chosen ``simulation_backend``, emitted as a scenario
-    through the shared sweep engine (``max_workers`` parallel, bit-identical to
-    serial; ``store`` caches the runs).
+    through the shared sweep engine (``store`` caches the runs).  ``max_workers``
+    sizes its pool (default: every usable CPU; ``1`` = serial in-process;
+    results bit-identical).
     """
     if alphas is None:
         alphas = alpha_grid(0.0, 0.45, 0.05) if not fast else alpha_grid(0.15, 0.45, 0.15)

@@ -268,7 +268,9 @@ def run_network(
     max_lead:
         Truncation of the analytical model evaluated at the measured gamma.
     max_workers:
-        Fan all independent runs (both phases share one pool) out over processes.
+        Worker processes for all independent runs, both phases sharing one pool
+        (default: every usable CPU; ``1`` = serial in-process; results
+        bit-identical).
     store:
         Optional :class:`~repro.store.ResultStore`: only the runs missing from
         the cache execute.

@@ -20,7 +20,7 @@ Two optional simulation sections back the analysis with Monte Carlo:
   than every Algorithm-1-structured policy are visible rather than hidden.
 
 All simulation runs of both sections are fanned out over one process pool
-(``max_workers``), bit-identical to a serial run.
+(``max_workers``, by default every usable CPU), bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -261,7 +261,8 @@ def run_optimal(
         and stubborn strategies except ``markov``, which rejects the stubborn
         variants — the catalogue section then requires ``chain`` or ``network``).
     max_workers:
-        Fan all simulation runs out over one process pool.
+        Worker processes for all simulation runs (default: every usable CPU;
+        ``1`` = serial in-process; results bit-identical).
     store:
         Optional :class:`~repro.store.ResultStore`: only the simulation runs
         missing from the cache execute, and the per-point MDP solves are

@@ -12,7 +12,8 @@ All strategies are simulated with the full chain simulator (the stubborn variant
 have no Markov-chain model) under a paired protocol: every strategy sees the same
 master seed, so at each grid point the strategies face identical mining luck and
 the differences between rows are attributable to behaviour alone.  The independent
-runs behind every cell can be fanned out over a process pool (``max_workers``).
+runs behind every cell are fanned out over a process pool (``max_workers``; by
+default every usable CPU).
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def run_strategy_comparison(
         every registered strategy (the Markov backend models only honest/selfish
         and raises for the stubborn variants).
     max_workers:
-        Fan the runs of each cell out over a process pool (bit-identical to
-        serial; purely a wall-clock optimisation).
+        Worker processes for the runs of every cell (default: every usable
+        CPU; ``1`` = serial in-process; results bit-identical).
     store:
         Optional :class:`~repro.store.ResultStore`: only the cells missing from
         the cache are simulated.

@@ -125,6 +125,8 @@ def run_table2(
     simulation overlay estimates the same histogram from settled runs of the chosen
     ``simulation_backend`` (any backend that materialises real uncle references),
     emitted as a scenario through the shared sweep engine (cached by ``store``).
+    ``max_workers`` sizes its pool (default: every usable CPU; ``1`` = serial
+    in-process; results bit-identical).
     """
     if fast:
         simulation_blocks = min(simulation_blocks, 10_000)

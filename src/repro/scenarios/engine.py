@@ -199,15 +199,15 @@ def run_scenarios(
     """Execute several scenarios through one shared pool and one store.
 
     All specs' missing runs are dispatched together (one process pool keeps
-    every worker busy across scenario boundaries), and results come back
-    grouped per spec, per cell, in expansion order.  ``max_cells`` caps the
-    cells attempted across all specs combined, in plan order; with a store,
-    cells whose every run is already cached are *free* — a batched store check
-    settles them without consuming the cap, so the cap budgets fresh progress.
-    ``policy``
-    tunes the resilient dispatch (per-run timeout, retries, backoff,
-    fail-fast); ``on_failure="record"`` degrades a run that exhausts its
-    budget into a *failed* cell instead of raising
+    every worker busy across scenario boundaries; ``max_workers`` defaults to
+    every usable CPU, ``1`` = serial in-process, results bit-identical), and
+    results come back grouped per spec, per cell, in expansion order.
+    ``max_cells`` caps the cells attempted across all specs combined, in plan
+    order; with a store, cells whose every run is already cached are *free* — a
+    batched store check settles them without consuming the cap, so the cap
+    budgets fresh progress.  ``policy`` tunes the resilient dispatch (per-run
+    timeout, retries, backoff, fail-fast); ``on_failure="record"`` degrades a
+    run that exhausts its budget into a *failed* cell instead of raising
     :class:`~repro.errors.RetryExhaustedError`.
     """
     if max_cells is not None and max_cells < 0:
@@ -336,7 +336,11 @@ def run_scenario(
     policy: RetryPolicy | None = None,
     on_failure: str = "raise",
 ) -> ScenarioRunResult:
-    """Execute one scenario (see :func:`run_scenarios`)."""
+    """Execute one scenario (see :func:`run_scenarios`).
+
+    ``max_workers`` defaults to every usable CPU; ``1`` = serial in-process;
+    results are bit-identical either way.
+    """
     return run_scenarios(
         [spec],
         store=store,

@@ -7,10 +7,12 @@ master seed so that experiments are exactly reproducible.  :func:`simulate_alpha
 is the simulation-side counterpart of :func:`repro.analysis.sweep.sweep_alpha`, used
 for the simulation overlays in Fig. 8.
 
-Because the runs of an experiment are independent, :func:`run_many` can fan them out
-over a process pool (``max_workers``).  The per-run seeds are derived from the master
-seed *before* dispatch — the seed stream does not depend on scheduling — so a
-parallel experiment is bit-for-bit identical to a serial one.  Dispatch goes
+Because the runs of an experiment are independent, :func:`run_many` fans them out
+over a process pool: by default (``max_workers=None``) one worker per usable CPU,
+capped at the number of runs to execute; ``max_workers=1`` runs serially
+in-process.  The per-run seeds are derived from the master seed *before*
+dispatch — the seed stream does not depend on scheduling — so a parallel
+experiment is bit-for-bit identical to a serial one.  Dispatch goes
 through the resilient executor (:func:`repro.utils.resilient.resilient_map`):
 a worker death, a hung run or a transient failure costs one attempt of one
 task, is retried with deterministic backoff (settling to the bit-identical
@@ -29,6 +31,7 @@ partition the work instead of duplicating it.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -106,6 +109,23 @@ class RunFailure:
         return self.failure.exhausted_error()
 
 
+def _default_workers(runs: int) -> int:
+    """The pool size ``max_workers=None`` resolves to for ``runs`` pending runs.
+
+    One worker per usable CPU (the process's affinity set, or ``os.cpu_count()``
+    where affinity is unavailable), capped at ``runs``.  Inside a dispatcher
+    worker — a daemon process, which may not start children — it is 1, so a
+    nested fan-out runs serially in-process.
+    """
+    if multiprocessing.current_process().daemon:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, runs))
+
+
 def _maybe_corrupt_store_entry(path, index: int) -> None:
     """Fault-injection hook for the chaos tests (no-op unless a plan is set)."""
     if not os.environ.get(FAULTS_ENV):
@@ -135,6 +155,11 @@ def execute_runs(
     came from the cache — or from a concurrent process sharing the store).
     Because cached results round-trip bit-exactly, the output is identical
     whether a run came from the cache or from the engine.
+
+    ``max_workers`` sizes the process pool.  The default ``None`` means every
+    usable CPU (:func:`_default_workers`: capped at the runs the store did not
+    already hold, and serial inside a dispatcher worker); ``1`` runs serially
+    in-process.  Results are bit-identical either way.
 
     Dispatch is resilient (:func:`repro.utils.resilient.resilient_map`):
     ``policy`` sets the per-run wall-clock timeout, the retry budget and the
@@ -210,7 +235,7 @@ def execute_runs(
     outcomes = resilient_map(
         _run_task,
         [tasks[index] for index in missing],
-        max_workers=max_workers,
+        max_workers=_default_workers(len(missing)) if max_workers is None else max_workers,
         policy=policy,
         task_ids=missing,
         try_claim=try_claim if store is not None else None,
@@ -287,9 +312,10 @@ def run_many_grid(
 
     All ``len(configs) * num_runs`` simulations are independent, so they are fanned
     out over a single process pool together — a sweep with many cells keeps every
-    worker busy even when ``num_runs`` per cell is small.  Results are grouped and
-    aggregated per input configuration, in input order, and are identical to
-    calling :func:`run_many` on each configuration serially.
+    worker busy even when ``num_runs`` per cell is small.  ``max_workers``
+    defaults to every usable CPU; ``1`` runs serially in-process.  Results are
+    grouped and aggregated per input configuration, in input order, and are
+    bit-identical to calling :func:`run_many` on each configuration serially.
 
     With a ``store`` only the runs missing from the cache execute; everything
     else is loaded, bit-exact, from disk.  ``policy`` tunes the resilient
@@ -329,8 +355,9 @@ def run_many(
     the whole experiment is reproducible from the single master seed while the runs
     remain statistically independent.
 
-    ``max_workers`` fans the runs out over a process pool.  ``None`` or ``1`` runs
-    serially in-process.  The per-run seed stream is derived up front, so the
+    ``max_workers`` fans the runs out over a process pool: the default ``None``
+    uses every usable CPU, ``1`` runs serially in-process.  The per-run seed
+    stream is derived up front, so the
     aggregated result is identical whichever execution mode (or worker count) is
     chosen — parallelism is purely a wall-clock optimisation.  Grid experiments
     should prefer :func:`run_many_grid`, which keeps the pool busy across cells.
@@ -406,8 +433,9 @@ def simulate_alpha_sweep(
 ) -> SimulatedAlphaSweep:
     """Run the simulator over a grid of pool sizes at the base configuration's ``gamma``.
 
-    The runs of *all* grid points share one process pool (see :func:`run_many_grid`),
-    so ``max_workers`` parallelism is effective even with few runs per point.
+    The runs of *all* grid points share one process pool (see :func:`run_many_grid`;
+    default: every usable CPU, ``1`` = serial in-process), so the parallelism is
+    effective even with few runs per point.
     """
     params_grid = [
         MiningParams(alpha=alpha, gamma=base_config.params.gamma) for alpha in alphas

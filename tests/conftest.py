@@ -66,3 +66,23 @@ def bitcoin_model(bitcoin_schedule) -> RevenueModel:
 def params_point(request) -> MiningParams:
     """Parametrised fixture iterating over representative (alpha, gamma) points."""
     return request.param
+
+
+@pytest.fixture
+def simulator_builds(monkeypatch) -> dict[str, int]:
+    """Count the simulators this process builds through the runner.
+
+    Pool workers count their own copies, so only in-process (serial) builds
+    show up here.
+    """
+    import repro.simulation.runner as runner_module
+    from repro.backends import make_simulator
+
+    counter = {"builds": 0}
+
+    def counting(config, backend):
+        counter["builds"] += 1
+        return make_simulator(config, backend)
+
+    monkeypatch.setattr(runner_module, "make_simulator", counting)
+    return counter

@@ -36,23 +36,8 @@ SCHEDULES = {
 }
 
 
-def _counting_make_simulator(monkeypatch):
-    """Patch the runner's backend lookup with a construction counter."""
-    import repro.simulation.runner as runner_module
-    from repro.backends import make_simulator
-
-    counter = {"builds": 0}
-
-    def counting(config, backend):
-        counter["builds"] += 1
-        return make_simulator(config, backend)
-
-    monkeypatch.setattr(runner_module, "make_simulator", counting)
-    return counter
-
-
 class TestWarmStoreDoesZeroWork:
-    def test_figure8_sized_scenario_re_run_builds_no_simulator(self, tmp_path, monkeypatch):
+    def test_figure8_sized_scenario_re_run_builds_no_simulator(self, tmp_path, simulator_builds):
         spec = ScenarioSpec(
             name="figure8-sized",
             alphas=tuple(round(0.05 * step, 2) for step in range(1, 10)),
@@ -64,19 +49,27 @@ class TestWarmStoreDoesZeroWork:
             num_blocks=2_000,
             seed=2019,
         )
-        counter = _counting_make_simulator(monkeypatch)
+        # The counter sees builds in this process only, so the counted runs
+        # stay serial in-process (max_workers=1).
+        counter = simulator_builds
         store = ResultStore(tmp_path / "cache")
-        cold = run_scenario(spec, store=store)
+        cold = run_scenario(spec, store=store, max_workers=1)
         assert counter["builds"] == spec.num_planned_runs == 18
         assert cold.executed_runs == 18 and cold.cached_runs == 0
 
         counter["builds"] = 0
-        warm = run_scenario(spec, store=store)
+        warm = run_scenario(spec, store=store, max_workers=1)
         assert counter["builds"] == 0, "warm re-run constructed a simulator"
         assert warm.executed_runs == 0 and warm.cached_runs == 18
         assert [o.aggregate for o in warm.cells] == [o.aggregate for o in cold.cells]
 
-    def test_compacted_store_still_does_zero_work_bit_exactly(self, tmp_path, monkeypatch):
+        # The default pool (every usable CPU) into a fresh store does the same
+        # work and settles to the same aggregates as the serial cold run.
+        fanned = run_scenario(spec, store=ResultStore(tmp_path / "fanned"))
+        assert fanned.executed_runs == 18
+        assert [o.aggregate for o in fanned.cells] == [o.aggregate for o in cold.cells]
+
+    def test_compacted_store_still_does_zero_work_bit_exactly(self, tmp_path, simulator_builds):
         """Compaction must not cost a single recompute or change a single bit."""
         spec = ScenarioSpec(
             name="figure8-compacted",
@@ -89,15 +82,15 @@ class TestWarmStoreDoesZeroWork:
             num_blocks=2_000,
             seed=2019,
         )
-        counter = _counting_make_simulator(monkeypatch)
+        counter = simulator_builds
         store = ResultStore(tmp_path / "cache")
-        cold = run_scenario(spec, store=store)
+        cold = run_scenario(spec, store=store, max_workers=1)
         assert cold.executed_runs == 18
 
         report = store.compact()
         assert report.packed == 18
         counter["builds"] = 0
-        warm = run_scenario(spec, store=store)
+        warm = run_scenario(spec, store=store, max_workers=1)
         assert counter["builds"] == 0, "compacted warm re-run constructed a simulator"
         assert warm.executed_runs == 0 and warm.cached_runs == 18
         assert [o.aggregate for o in warm.cells] == [o.aggregate for o in cold.cells]

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.experiments.figure8 import run_figure8
 from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import (
     compare_backends,
+    execute_runs,
     honest_baseline_config,
     run_many,
     run_many_grid,
@@ -17,6 +22,8 @@ from repro.simulation.runner import (
     simulate_alpha_sweep,
     simulate_strategy_sweep,
 )
+from repro.store import ResultStore
+from repro.utils.resilient import TaskFailure, resilient_map
 
 CONFIG = SimulationConfig(params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=3000, seed=5)
 
@@ -61,8 +68,11 @@ class TestRunMany:
         assert [r.config.seed for r in serial.results] == [r.config.seed for r in parallel.results]
 
     def test_invalid_max_workers_rejected(self):
-        with pytest.raises(SimulationError):
-            run_many(CONFIG, 2, max_workers=-1)
+        for max_workers in (0, -1):
+            with pytest.raises(SimulationError):
+                run_many(CONFIG, 2, max_workers=max_workers)
+            with pytest.raises(SimulationError):
+                execute_runs([(CONFIG, "markov")], max_workers=max_workers)
 
     def test_excess_workers_are_capped_to_runs(self):
         aggregate = run_many(CONFIG, 2, backend="markov", max_workers=16)
@@ -124,3 +134,81 @@ class TestSweepAndHelpers:
         second = sequential_seeds(42, 4)
         assert list(first) == list(second)
         assert len(set(first)) == 4
+
+
+def _store_entries(root) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.json"))
+    }
+
+
+def _nested_run_many(seed: int) -> tuple[float, bool]:
+    """A dispatcher task that itself calls ``run_many`` with default workers."""
+    aggregate = run_many(CONFIG.with_seed(seed), 2, backend="markov")
+    return aggregate.relative_pool_revenue, multiprocessing.current_process().daemon
+
+
+class TestDefaultWorkers:
+    """``max_workers=None`` means every usable CPU, bit-identical to serial."""
+
+    def test_default_matches_serial_figure8_report_and_store(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        kwargs = dict(
+            alphas=(0.1, 0.2, 0.3), simulation_runs=2, simulation_blocks=2_000, max_lead=20
+        )
+        fanned = run_figure8(store=ResultStore(tmp_path / "default"), **kwargs)
+        serial = run_figure8(store=ResultStore(tmp_path / "serial"), max_workers=1, **kwargs)
+        assert fanned.report() == serial.report()
+        entries = _store_entries(tmp_path / "default")
+        assert len(entries) == 6
+        assert entries == _store_entries(tmp_path / "serial")
+
+    def test_two_usable_cpus_build_in_workers(self, monkeypatch, simulator_builds):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fanned = run_many(CONFIG, 3, backend="markov")
+        assert simulator_builds["builds"] == 0, "the default pool ran the runs in-process"
+        serial = run_many(CONFIG, 3, backend="markov", max_workers=1)
+        assert simulator_builds["builds"] == 3
+        assert fanned.results == serial.results
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch, simulator_builds):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        aggregate = run_many(CONFIG, 3, backend="markov")
+        assert simulator_builds["builds"] == 3
+        assert aggregate.num_runs == 3
+
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch, simulator_builds):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        run_many(CONFIG, 2, backend="markov")
+        assert simulator_builds["builds"] == 2
+
+    def test_single_missing_run_opens_no_pool(self, tmp_path, monkeypatch, simulator_builds):
+        import repro.utils.resilient as resilient_module
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        store = ResultStore(tmp_path / "cache")
+        run_many(CONFIG, 1, backend="markov", store=store, max_workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was opened for one missing run")
+
+        monkeypatch.setattr(resilient_module, "_pool_map", no_pool)
+        simulator_builds["builds"] = 0
+        cached_and_fresh = run_many(CONFIG, 2, backend="markov", store=store)
+        assert simulator_builds["builds"] == 1
+        serial = run_many(CONFIG, 2, backend="markov", max_workers=1)
+        assert cached_and_fresh.results == serial.results
+
+    def test_default_inside_a_dispatcher_worker_runs_serially(self):
+        outcomes = resilient_map(_nested_run_many, [5, 9], max_workers=2)
+        assert not any(isinstance(outcome, TaskFailure) for outcome in outcomes), outcomes
+        assert [daemon for _, daemon in outcomes] == [True, True]
+        expected = [
+            run_many(CONFIG.with_seed(seed), 2, backend="markov", max_workers=1)
+            for seed in (5, 9)
+        ]
+        assert [revenue for revenue, _ in outcomes] == [
+            aggregate.relative_pool_revenue for aggregate in expected
+        ]
