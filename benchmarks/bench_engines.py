@@ -20,6 +20,9 @@ import pytest
 from repro.analysis.absolute import Scenario
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.threshold import profitable_threshold
+from repro.chain.fork_choice import LongestChainRule
+from repro.chain.rewards import settle_rewards
+from repro.chain.validation import validate_tree
 from repro.markov.stationary import stationary_distribution
 from repro.markov.transitions import build_selfish_mining_chain
 from repro.params import MiningParams
@@ -78,31 +81,6 @@ def test_threshold_search_benchmark(benchmark):
     assert result.alpha_star == pytest.approx(0.163, abs=0.005)
 
 
-def test_uncle_candidate_lookup_benchmark(benchmark):
-    """Track the uncle-selection hot path: candidate lookup over a finished tree.
-
-    The incremental fork-children index makes this proportional to the number of
-    forked blocks in the window instead of every block mined in it (the seed
-    behaviour, still available as ``blocks_in_height_range``).
-    """
-    config = SimulationConfig(
-        params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=scaled(10_000), seed=1
-    )
-    simulator = ChainSimulator(config)
-    simulator.run()
-    tree = simulator.tree
-    top = tree.max_height()
-
-    def scan_all_windows():
-        total = 0
-        for height in range(1, top + 1):
-            total += len(tree.uncle_candidates(height - 6, height - 1, published_only=True))
-        return total
-
-    total = benchmark(scan_all_windows)
-    assert total > 0
-
-
 def test_chain_simulator_benchmark(benchmark):
     blocks = scaled(20_000)
     benchmark.extra_info["blocks"] = blocks
@@ -113,33 +91,36 @@ def test_chain_simulator_benchmark(benchmark):
     assert result.total_blocks == blocks
 
 
-def test_chain_simulator_object_tree_benchmark(benchmark):
-    """The same chain workload forced onto the legacy object tree.
+def test_chain_settlement_benchmark(benchmark):
+    """Validate and settle the finished ``test_chain_simulator_benchmark`` tree.
 
-    The ``--check`` control for the PR 10 array-backed chain core: comparing
-    the default backend against this replica in the same run stays meaningful
-    at any ``REPRO_BENCH_SCALE`` and under CI-runner noise, where comparisons
-    against absolute recorded baselines do not.
+    The ``--check`` control that keeps the end-of-run chain passes vectorised:
+    together they must cost at most half of the simulator run that built the
+    tree, timed in the same invocation.  A block-by-block walk over the tree
+    costs about twice that run.
     """
     blocks = scaled(20_000)
     benchmark.extra_info["blocks"] = blocks
     config = SimulationConfig(
         params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=blocks, seed=1
     )
+    simulator = ChainSimulator(config)
+    result = simulator.run()
+    tree = simulator.tree
+    tip_id = LongestChainRule().best_tip_id(tree, published_only=True)
 
-    def run_on_object_tree():
-        saved = os.environ.get("REPRO_OBJECT_TREE")
-        os.environ["REPRO_OBJECT_TREE"] = "1"
-        try:
-            return ChainSimulator(config).run()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_OBJECT_TREE", None)
-            else:
-                os.environ["REPRO_OBJECT_TREE"] = saved
+    def validate_and_settle():
+        validate_tree(
+            tree,
+            max_uncles_per_block=config.max_uncles_per_block,
+            max_uncle_distance=config.max_uncle_distance,
+        )
+        return settle_rewards(
+            tree, tip_id, config.schedule, skip_heights_below=config.warmup_blocks
+        )
 
-    result = benchmark.pedantic(run_on_object_tree, rounds=1, iterations=1)
-    assert result.total_blocks == blocks
+    settlement = benchmark.pedantic(validate_and_settle, rounds=5, iterations=1)
+    assert settlement.total_blocks == result.total_blocks == blocks
 
 
 def test_markov_monte_carlo_benchmark(benchmark):

@@ -77,7 +77,7 @@ def test_store_loose_read_benchmark(benchmark):
         return found
 
     try:
-        benchmark.pedantic(loose_read, rounds=3, iterations=1, warmup_rounds=1)
+        benchmark.pedantic(loose_read, rounds=7, iterations=1, warmup_rounds=1)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
@@ -97,7 +97,7 @@ def test_store_pack_read_benchmark(benchmark):
         return found
 
     try:
-        benchmark.pedantic(pack_read, rounds=3, iterations=1, warmup_rounds=1)
+        benchmark.pedantic(pack_read, rounds=7, iterations=1, warmup_rounds=1)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

@@ -37,9 +37,10 @@ compiled-table Markov backend beats the scalar accumulate path (the PR 2
 vectorisation), that the network simulator's zero-latency fast path beats the
 general event loop on the same workload (the PR 6 batched event core), that the
 resilient dispatcher stays near a bare pool.map (PR 7), that the pack-file
-read path beats the loose-entry path by at least 3x (the PR 9 compaction tier),
-that the array-backed chain core beats the legacy object tree on the same
-workload, that one compiled ``revenue_rates`` point costs at most a third of
+read path beats the loose-entry path by at least 3x in the median (the PR 9
+compaction tier), that validating and settling the finished chain-simulator
+tree costs at most half of the run that built it (both stay vectorised),
+that one compiled ``revenue_rates`` point costs at most a third of
 enumerating and solving the same chain generically, that a chain-backend
 ``run_many_grid`` at the default worker count (every usable CPU) beats the
 same grid at ``max_workers=1`` by at least 1.3x when two or more CPUs are
@@ -292,6 +293,7 @@ def summarise(payload: dict, scale: float) -> list[dict]:
             "name": bench["name"],
             "group": bench.get("group"),
             "mean_s": stats["mean"],
+            "median_s": stats["median"],
             "min_s": stats["min"],
             "stddev_s": stats["stddev"],
             "rounds": stats["rounds"],
@@ -413,48 +415,49 @@ def check_pack_reads_beat_loose(records: list[dict]) -> None:
 
     The acceptance bar of the PR 9 compaction tier: the same warm batched
     ``get_many`` over compacted packs must run at least 3x the loose-entry
-    throughput (one SELECT per shard vs one file open per key).
+    throughput (one SELECT per shard vs one file open per key).  Medians over
+    the benchmarks' rounds are compared, so one slow round on a shared
+    machine cannot fail the gate.
     """
     by_name = {record["name"]: record for record in records}
     loose = by_name.get("test_store_loose_read_benchmark")
     pack = by_name.get("test_store_pack_read_benchmark")
     if loose is None or pack is None:
         raise SystemExit("--check needs both store read benchmarks in the selection")
-    ratio = loose["mean_s"] / pack["mean_s"]
+    ratio = loose["median_s"] / pack["median_s"]
     if ratio < 3.0:
         raise SystemExit(
-            "pack-file reads did not beat loose-entry reads by 3x: "
-            f"pack {pack['mean_s']:.4f}s vs loose {loose['mean_s']:.4f}s ({ratio:.2f}x)"
+            "pack-file reads did not beat loose-entry reads by 3x (medians): "
+            f"pack {pack['median_s']:.4f}s vs loose {loose['median_s']:.4f}s ({ratio:.2f}x)"
         )
     print(
-        f"check OK: pack reads {pack['mean_s']:.4f}s beat loose reads "
-        f"{loose['mean_s']:.4f}s ({ratio:.1f}x, "
+        f"check OK: median pack reads {pack['median_s']:.4f}s beat loose reads "
+        f"{loose['median_s']:.4f}s ({ratio:.1f}x, "
         f"{pack.get('entries_per_sec', 0):,.0f} entries/s warm)"
     )
 
 
-def check_array_tree_beats_object_tree(records: list[dict]) -> None:
-    """Assert the array-backed chain core beats the legacy object tree.
+def check_settlement_stays_vectorised(records: list[dict]) -> None:
+    """Assert validation plus settlement costs at most half of a chain run.
 
-    The PR 10 acceptance gate in its noise-robust form: both backends run the
-    identical workload in the same invocation on the same machine, so the
-    comparison holds at any ``REPRO_BENCH_SCALE`` where comparisons against
-    absolute recorded baselines do not.
+    Both are timed in the same invocation on the same tree: the settlement
+    benchmark validates and settles the tree the chain-simulator benchmark's
+    workload builds.  The vectorised passes cost a small fraction of the run
+    that built the tree; a block-by-block walk would cost about twice it.
     """
     by_name = {record["name"]: record for record in records}
-    array = by_name.get("test_chain_simulator_benchmark")
-    objects = by_name.get("test_chain_simulator_object_tree_benchmark")
-    if array is None or objects is None:
-        raise SystemExit("--check needs both chain simulator benchmarks in the selection")
-    if array["mean_s"] >= objects["mean_s"]:
-        raise SystemExit(
-            "array-backed chain core did not beat the object tree: "
-            f"array {array['mean_s']:.4f}s vs object {objects['mean_s']:.4f}s"
-        )
-    print(
-        f"check OK: array chain core {array['mean_s']:.4f}s beats the object "
-        f"tree {objects['mean_s']:.4f}s ({objects['mean_s'] / array['mean_s']:.1f}x)"
+    run = by_name.get("test_chain_simulator_benchmark")
+    settle = by_name.get("test_chain_settlement_benchmark")
+    if run is None or settle is None:
+        raise SystemExit("--check needs the chain simulator and settlement benchmarks")
+    ratio = settle["median_s"] / run["median_s"]
+    summary = (
+        f"validate + settle {settle['median_s']:.4f}s vs the chain run "
+        f"{run['median_s']:.4f}s ({ratio:.0%})"
     )
+    if ratio > 0.5:
+        raise SystemExit(f"chain validation and settlement exceed half of the run: {summary}")
+    print(f"check OK: settlement stays vectorised: {summary}")
 
 
 def check_compiled_revenue_beats_generic_solve(records: list[dict]) -> None:
@@ -548,8 +551,7 @@ def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
 
     Compares against the committed ``BENCH_PR9.json`` timings with the floors
     of ``PR9_CHECK_FLOORS``; recorded baselines are only comparable at scale
-    1.0, so smoke runs skip this gate (they run the same-machine object-tree
-    comparison instead).
+    1.0, so smoke runs skip this gate.
     """
     if scale != 1.0:
         print("check skipped: PR 9 baselines only apply at full scale")
@@ -646,8 +648,9 @@ def main(argv: list[str] | None = None) -> None:
             "assert the compiled-table Markov backend beats the scalar path, "
             "the zero-latency fast path beats the general event loop, the "
             "resilient dispatcher stays near a bare pool.map, pack-file "
-            "reads beat loose-entry reads by 3x, the array chain core beats "
-            "the object tree, a compiled revenue point costs at most a third "
+            "reads beat loose-entry reads by 3x in the median, validating and "
+            "settling the finished chain tree costs at most half of the run "
+            "that built it, a compiled revenue point costs at most a third "
             "of a generic enumerate-and-solve, the default worker pool beats "
             "max_workers=1 by 1.3x on two or more usable CPUs, and (at full "
             "scale) the simulators beat the recorded PR 9 era"
@@ -718,7 +721,7 @@ def main(argv: list[str] | None = None) -> None:
         check_dispatcher_overhead(records)
         check_default_workers_fan_out(fan_out)
         check_pack_reads_beat_loose(records)
-        check_array_tree_beats_object_tree(records)
+        check_settlement_stays_vectorised(records)
         check_compiled_revenue_beats_generic_solve(records)
         check_simulators_beat_pr9(records, scale)
 

@@ -70,13 +70,7 @@ from .simulation.metrics import (
     SimulationResult,
     aggregate_results,
 )
-from .simulation.runner import (
-    run_many,
-    run_many_grid,
-    run_once,
-    simulate_alpha_sweep,
-    simulate_strategy_sweep,
-)
+from .simulation.runner import run_many, run_many_grid, run_once
 from .strategies import (
     Action,
     EqualForkStubbornStrategy,
@@ -164,8 +158,6 @@ __all__ = [
     "run_once",
     "run_scenario",
     "run_scenarios",
-    "simulate_alpha_sweep",
-    "simulate_strategy_sweep",
     "single_pool_topology",
     "sweep_alpha",
     "sweep_gamma",

@@ -2,8 +2,10 @@
 
 A block records who mined it (the selfish pool or an honest miner), its parent, its
 height, the event index at which it was created, and the uncle references it carries.
-Blocks are immutable; all mutable bookkeeping (children, publication status, main
-chain membership) lives in :class:`repro.chain.blocktree.BlockTree`.
+The block tree stores blocks as columns rather than objects; a ``Block`` is the
+record :meth:`repro.chain.arrays.ArrayBlockTree.block` materialises at the object
+boundary.  Blocks are immutable; all mutable bookkeeping (children, publication
+status) lives in the tree.
 """
 
 from __future__ import annotations

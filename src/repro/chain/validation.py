@@ -1,10 +1,10 @@
-"""Structural validation of block trees.
+"""Structural and protocol validation of block trees.
 
-:func:`validate_tree` walks an entire tree and checks the invariants that every other
-chain component relies on.  The simulator calls it (optionally) at the end of a run
-and the property-based tests call it after every generated operation sequence, so a
-violation anywhere in the pipeline surfaces as a precise error message rather than as
-a silently wrong revenue number.
+:func:`validate_tree` checks the invariants that every other chain component
+relies on.  The simulator calls it (optionally) at the end of a run and the
+property-based tests call it after every generated operation sequence, so a
+violation anywhere in the pipeline surfaces as a precise error message rather
+than as a silently wrong revenue number.
 """
 
 from __future__ import annotations
@@ -17,233 +17,244 @@ from ..constants import MAX_UNCLE_DISTANCE, MAX_UNCLES_PER_BLOCK
 from ..errors import ChainStructureError
 from .arrays import ArrayBlockTree
 from .block import GENESIS_ID
-from .blocktree import BlockTree
 
 
 def validate_tree(
-    tree: BlockTree,
+    tree: ArrayBlockTree,
     *,
     max_uncles_per_block: int = MAX_UNCLES_PER_BLOCK,
     max_uncle_distance: int = MAX_UNCLE_DISTANCE,
     enforce_uncle_rules: bool = True,
 ) -> None:
-    """Check structural and protocol invariants of ``tree``; raise on violation.
+    """Check structural and protocol invariants of ``tree``; raise the first violation.
 
-    Checks performed:
+    Structural checks, over the whole tree first (the protocol checks walk the
+    parent column, so they only make sense on a sound one):
 
-    * exactly one genesis block, which is block 0 with height 0;
-    * every non-genesis block has a parent in the tree and height = parent height + 1;
-    * children lists and parent pointers agree;
-    * no block references itself, its parent or a descendant as an uncle;
-    * (optionally) every uncle reference satisfies the protocol rules: the uncle's
-      parent is an ancestor of the referencing block, the distance is within the
-      window, no double references along any ancestry path, and no block carries more
-      than ``max_uncles_per_block`` references.
+    * block 0 is the genesis block: no parent, height 0;
+    * every other block's parent was added before it, and its height is the
+      parent's height plus one;
+    * every block is listed among its parent's children.
 
-    Array-backed trees take a vectorised fast path that tests all invariants in
-    a handful of column passes; only when it flags a (possible) violation does
-    the block-by-block walk below re-run to raise the exact first error with
-    the documented precedence and message.
-    """
-    if isinstance(tree, ArrayBlockTree) and _array_tree_valid(
-        tree,
-        max_uncles_per_block=max_uncles_per_block,
-        max_uncle_distance=max_uncle_distance,
-        enforce_uncle_rules=enforce_uncle_rules,
-    ):
-        return
-    _validate_walk(
-        tree,
-        max_uncles_per_block=max_uncles_per_block,
-        max_uncle_distance=max_uncle_distance,
-        enforce_uncle_rules=enforce_uncle_rules,
-    )
+    Protocol checks, block by block in id order:
 
+    * no block carries more than ``max_uncles_per_block`` references;
+    * then, reference by reference in slot order: no block references itself or
+      its parent; and (unless ``enforce_uncle_rules`` is off) the uncle is not
+      the genesis block, the distance is within ``1..max_uncle_distance``, the
+      uncle is not an ancestor, its parent is one, and no ancestor down to the
+      uncle's height minus one already referenced it.
 
-def _validate_walk(
-    tree: BlockTree,
-    *,
-    max_uncles_per_block: int,
-    max_uncle_distance: int,
-    enforce_uncle_rules: bool,
-) -> None:
-    """The block-by-block validation walk (object trees and error replay)."""
-    genesis = tree.genesis
-    if genesis.block_id != GENESIS_ID or genesis.height != 0 or genesis.parent_id is not None:
-        raise ChainStructureError("malformed genesis block")
-
-    for block in tree.blocks():
-        if block.is_genesis:
-            continue
-        if block.parent_id is None:
-            raise ChainStructureError(f"non-genesis block {block.block_id} has no parent")
-        parent = tree.block(block.parent_id)
-        if block.height != parent.height + 1:
-            raise ChainStructureError(
-                f"block {block.block_id} has height {block.height}, expected {parent.height + 1}"
-            )
-        if block.block_id not in [child.block_id for child in tree.children(parent.block_id)]:
-            raise ChainStructureError(
-                f"block {block.block_id} missing from the children of its parent {parent.block_id}"
-            )
-        if len(block.uncle_ids) > max_uncles_per_block:
-            raise ChainStructureError(
-                f"block {block.block_id} references {len(block.uncle_ids)} uncles "
-                f"(protocol maximum is {max_uncles_per_block})"
-            )
-        for uncle_id in block.uncle_ids:
-            _validate_uncle_reference(
-                tree,
-                block_id=block.block_id,
-                uncle_id=uncle_id,
-                max_uncle_distance=max_uncle_distance,
-                enforce_uncle_rules=enforce_uncle_rules,
-            )
-
-
-def _validate_uncle_reference(
-    tree: BlockTree,
-    *,
-    block_id: int,
-    uncle_id: int,
-    max_uncle_distance: int,
-    enforce_uncle_rules: bool,
-) -> None:
-    block = tree.block(block_id)
-    uncle = tree.block(uncle_id)
-    if uncle_id == block_id:
-        raise ChainStructureError(f"block {block_id} references itself as an uncle")
-    if uncle_id == block.parent_id:
-        raise ChainStructureError(f"block {block_id} references its parent as an uncle")
-    if not enforce_uncle_rules:
-        return
-    if uncle.is_genesis:
-        raise ChainStructureError(f"block {block_id} references the genesis block as an uncle")
-    distance = block.height - uncle.height
-    if distance < 1 or distance > max_uncle_distance:
-        raise ChainStructureError(
-            f"block {block_id} references uncle {uncle_id} at distance {distance} "
-            f"(allowed range 1..{max_uncle_distance})"
-        )
-    assert block.parent_id is not None  # guaranteed by caller
-    if tree.is_ancestor(uncle_id, block.parent_id):
-        raise ChainStructureError(
-            f"block {block_id} references its own ancestor {uncle_id} as an uncle"
-        )
-    if uncle.parent_id is None or not tree.is_ancestor(uncle.parent_id, block.parent_id):
-        raise ChainStructureError(
-            f"uncle {uncle_id} referenced by block {block_id} is not a child of the block's ancestry"
-        )
-    for ancestor in tree.ancestors(block.parent_id, include_self=True):
-        if uncle_id in ancestor.uncle_ids:
-            raise ChainStructureError(
-                f"uncle {uncle_id} referenced by block {block_id} was already referenced "
-                f"by its ancestor {ancestor.block_id}"
-            )
-        if ancestor.height < uncle.height:
-            break
-
-
-def _array_tree_valid(
-    tree: ArrayBlockTree,
-    *,
-    max_uncles_per_block: int,
-    max_uncle_distance: int,
-    enforce_uncle_rules: bool,
-) -> bool:
-    """Vectorised invariant test over an :class:`ArrayBlockTree`'s columns.
-
-    Returns True when every invariant provably holds.  False only means the
-    walking path must decide (and raise the exact error when one exists) — a
-    conservative False on a valid tree costs a re-walk, never a wrong verdict.
+    The first violation in that order raises :class:`ChainStructureError`.  All
+    checks run as column passes; only the reference that fails first is
+    re-examined one check at a time to name its violation.
     """
     parents = tree.parent_column()
     heights = tree.height_column()
-    count = len(parents)
-    if count == 0 or parents[0] != -1 or heights[0] != 0:
-        return False
-    if count > 1:
-        non_genesis_parents = parents[1:]
-        if (non_genesis_parents < 0).any():
-            return False
-        if (non_genesis_parents >= np.arange(1, count)).any():
-            return False
-        if not (heights[1:] == heights[non_genesis_parents] + 1).all():
-            return False
-    # Children lists and parent pointers agree: the flattened children ids
-    # cover 1..count-1 exactly once and each child's parent points back.
-    children_map = tree._children
-    entries = len(children_map)
-    bucket_sizes = np.fromiter(map(len, children_map.values()), dtype=np.int64, count=entries)
-    total_children = int(bucket_sizes.sum())
-    if total_children != count - 1:
-        return False
-    if total_children:
-        child_arr = np.fromiter(
-            chain.from_iterable(children_map.values()), dtype=np.int64, count=total_children
-        )
-        child_parents = np.repeat(
-            np.fromiter(children_map.keys(), dtype=np.int64, count=entries), bucket_sizes
-        )
-        if not np.array_equal(np.sort(child_arr), np.arange(1, count)):
-            return False
-        if not (parents[child_arr] == child_parents).all():
-            return False
+    _check_structure(tree, parents, heights)
 
     ref_blocks, ref_uncles = tree.reference_columns()
     if ref_blocks.size == 0:
-        return True
-    if int(np.bincount(ref_blocks, minlength=count).max()) > max_uncles_per_block:
-        return False
-    if (ref_uncles == ref_blocks).any():
-        return False
-    if (ref_uncles == parents[ref_blocks]).any():
-        return False
-    if not enforce_uncle_rules:
-        return True
-    if (ref_uncles == GENESIS_ID).any():
-        return False
-    distances = heights[ref_blocks] - heights[ref_uncles]
-    if (distances < 1).any() or (distances > max_uncle_distance).any():
-        return False
+        return
+    uncle_counts = np.bincount(ref_blocks, minlength=len(parents))
+    over_cap = np.flatnonzero(uncle_counts > max_uncles_per_block)
+    cap_block = int(over_cap[0]) if over_cap.size else len(parents)
 
-    # Ancestry rules, all references at once: `level` walks the referencing
-    # blocks' ancestor chains in lockstep (k-th step = k-th ancestor of the
-    # referencing block's parent), guarded against the -1 genesis sentinel.
-    # An uncle at distance d must NOT be the (d-1)-th ancestor (it would be on
-    # the chain) and its parent MUST be the d-th (a child of the chain).
-    depth = int(distances.max())
-    level = parents[ref_blocks]
-    uncle_parents = parents[ref_uncles]
-    uncle_parent_on_chain = np.zeros(ref_blocks.size, dtype=bool)
-    for step in range(depth):
-        at_uncle_height = distances - 1 == step
-        if (at_uncle_height & (level == ref_uncles)).any():
-            return False
-        safe = np.where(level >= 0, level, 0)
-        level = np.where(level >= 0, parents[safe], -1)
+    flagged = _flag_bad_references(
+        tree,
+        parents,
+        heights,
+        ref_blocks,
+        ref_uncles,
+        max_uncle_distance=max_uncle_distance,
+        enforce_uncle_rules=enforce_uncle_rules,
+    )
+    for index in np.flatnonzero(flagged).tolist():
+        block_id = int(ref_blocks[index])
+        if block_id >= cap_block:
+            break
+        message = _reference_error(
+            tree,
+            block_id,
+            int(ref_uncles[index]),
+            max_uncle_distance=max_uncle_distance,
+            enforce_uncle_rules=enforce_uncle_rules,
+        )
+        if message is not None:
+            raise ChainStructureError(message)
+    if over_cap.size:
+        raise ChainStructureError(
+            f"block {cap_block} references {int(uncle_counts[cap_block])} uncles "
+            f"(protocol maximum is {max_uncles_per_block})"
+        )
+
+
+def _check_structure(tree: ArrayBlockTree, parents: np.ndarray, heights: np.ndarray) -> None:
+    """Raise on the lowest block whose parent, height or children entry is wrong."""
+    count = len(parents)
+    if count == 0 or parents[0] != -1 or heights[0] != 0:
+        raise ChainStructureError("malformed genesis block")
+    if count == 1:
+        return
+    ids = np.arange(1, count)
+    own_parents = parents[1:]
+    parent_ok = (own_parents >= 0) & (own_parents < ids)
+    safe_parents = np.where(parent_ok, own_parents, 0)
+    height_ok = heights[1:] == heights[safe_parents] + 1
+
+    # Children lists and parent pointers agree: every block appears in the
+    # children list of the parent it points to.
+    children_map = tree._children
+    entries = len(children_map)
+    bucket_sizes = np.fromiter(map(len, children_map.values()), dtype=np.int64, count=entries)
+    child_ids = np.fromiter(
+        chain.from_iterable(children_map.values()), dtype=np.int64, count=int(bucket_sizes.sum())
+    )
+    listing_parents = np.repeat(
+        np.fromiter(children_map.keys(), dtype=np.int64, count=entries), bucket_sizes
+    )
+    in_range = (child_ids > 0) & (child_ids < count)
+    child_ids = child_ids[in_range]
+    listed = np.zeros(count, dtype=bool)
+    listed[child_ids[parents[child_ids] == listing_parents[in_range]]] = True
+
+    bad = ~(parent_ok & height_ok & listed[1:])
+    if not bad.any():
+        return
+    block_id = int(np.argmax(bad)) + 1
+    parent_id = int(parents[block_id])
+    if parent_id < 0:
+        raise ChainStructureError(f"non-genesis block {block_id} has no parent")
+    if parent_id >= block_id:
+        raise ChainStructureError(
+            f"block {block_id} has parent {parent_id}, which was not added before it"
+        )
+    if heights[block_id] != heights[parent_id] + 1:
+        raise ChainStructureError(
+            f"block {block_id} has height {int(heights[block_id])}, "
+            f"expected {int(heights[parent_id]) + 1}"
+        )
+    raise ChainStructureError(
+        f"block {block_id} missing from the children of its parent {parent_id}"
+    )
+
+
+def _flag_bad_references(
+    tree: ArrayBlockTree,
+    parents: np.ndarray,
+    heights: np.ndarray,
+    ref_blocks: np.ndarray,
+    ref_uncles: np.ndarray,
+    *,
+    max_uncle_distance: int,
+    enforce_uncle_rules: bool,
+) -> np.ndarray:
+    """Per reference (in reference order): True when any per-slot check fails."""
+    bad = (ref_uncles == ref_blocks) | (ref_uncles == parents[ref_blocks])
+    if not enforce_uncle_rules:
+        return bad
+    distances = heights[ref_blocks] - heights[ref_uncles]
+    bad |= (ref_uncles == GENESIS_ID) | (distances < 1) | (distances > max_uncle_distance)
+    in_window = np.flatnonzero(~bad)
+    if in_window.size == 0:
+        return bad
+
+    # Ancestry rules for every in-window reference at once: `level` walks the
+    # referencing blocks' ancestor chains in lockstep (k-th step = k-th
+    # ancestor of the referencing block's parent), guarded against the -1
+    # genesis sentinel.  An uncle at distance d must NOT be the (d-1)-th
+    # ancestor (it would be on the chain) and its parent MUST be the d-th (a
+    # child of the chain).
+    blocks = ref_blocks[in_window]
+    uncles = ref_uncles[in_window]
+    window_distances = distances[in_window]
+    level = parents[blocks]
+    uncle_parents = parents[uncles]
+    on_chain = np.zeros(in_window.size, dtype=bool)
+    uncle_parent_on_chain = np.zeros(in_window.size, dtype=bool)
+    for step in range(int(window_distances.max())):
+        at_uncle_height = window_distances - 1 == step
+        on_chain |= at_uncle_height & (level == uncles)
+        level = np.where(level >= 0, parents[np.maximum(level, 0)], -1)
         uncle_parent_on_chain |= at_uncle_height & (level == uncle_parents)
-    if not uncle_parent_on_chain.all():
-        return False
+    bad[in_window] = on_chain | ~uncle_parent_on_chain
 
     # Double references along an ancestry path: only an uncle referenced more
-    # than once anywhere in the tree can violate this, so scalar-walk exactly
-    # those few references (bounded by the inclusion window).
+    # than once anywhere in the tree can violate this, so walk exactly those
+    # few references (each scan is bounded by the inclusion window).
     unique_uncles, reference_counts = np.unique(ref_uncles, return_counts=True)
     if (reference_counts > 1).any():
         duplicated = set(unique_uncles[reference_counts > 1].tolist())
-        parent_list = tree._parents
-        height_list = tree._heights
-        uncle_tuples = tree._uncle_tuples
-        for block_id, uncle_id in zip(ref_blocks.tolist(), ref_uncles.tolist()):
-            if uncle_id not in duplicated:
+        for index in in_window.tolist():
+            if bad[index] or int(ref_uncles[index]) not in duplicated:
                 continue
-            uncle_height = height_list[uncle_id]
-            ancestor = parent_list[block_id]
-            while True:
-                if uncle_id in uncle_tuples[ancestor]:
-                    return False
-                if height_list[ancestor] < uncle_height or ancestor == GENESIS_ID:
-                    break
-                ancestor = parent_list[ancestor]
-    return True
+            bad[index] = (
+                _earlier_reference(tree, int(ref_blocks[index]), int(ref_uncles[index]))
+                is not None
+            )
+    return bad
+
+
+def _earlier_reference(tree: ArrayBlockTree, block_id: int, uncle_id: int) -> int | None:
+    """The nearest ancestor of ``block_id`` that already references ``uncle_id``.
+
+    Scans from the block's parent down to the uncle's height minus one; ``None``
+    when no ancestor in that range references it.
+    """
+    parents = tree._parents
+    heights = tree._heights
+    uncle_tuples = tree._uncle_tuples
+    uncle_height = heights[uncle_id]
+    ancestor = parents[block_id]
+    while ancestor >= 0:
+        if uncle_id in uncle_tuples[ancestor]:
+            return ancestor
+        if heights[ancestor] < uncle_height:
+            break
+        ancestor = parents[ancestor]
+    return None
+
+
+def _reference_error(
+    tree: ArrayBlockTree,
+    block_id: int,
+    uncle_id: int,
+    *,
+    max_uncle_distance: int,
+    enforce_uncle_rules: bool,
+) -> str | None:
+    """The first per-slot check ``uncle_id`` fails as a reference of ``block_id``."""
+    parents = tree._parents
+    heights = tree._heights
+    parent_id = parents[block_id]
+    if uncle_id == block_id:
+        return f"block {block_id} references itself as an uncle"
+    if uncle_id == parent_id:
+        return f"block {block_id} references its parent as an uncle"
+    if not enforce_uncle_rules:
+        return None
+    if uncle_id == GENESIS_ID:
+        return f"block {block_id} references the genesis block as an uncle"
+    distance = heights[block_id] - heights[uncle_id]
+    if distance < 1 or distance > max_uncle_distance:
+        return (
+            f"block {block_id} references uncle {uncle_id} at distance {distance} "
+            f"(allowed range 1..{max_uncle_distance})"
+        )
+    chain_block = parent_id  # the referencing chain's block at the uncle's height
+    for _ in range(distance - 1):
+        chain_block = parents[chain_block]
+    if chain_block == uncle_id:
+        return f"block {block_id} references its own ancestor {uncle_id} as an uncle"
+    if parents[chain_block] != parents[uncle_id]:
+        return (
+            f"uncle {uncle_id} referenced by block {block_id} is not a child of the "
+            "block's ancestry"
+        )
+    ancestor = _earlier_reference(tree, block_id, uncle_id)
+    if ancestor is not None:
+        return (
+            f"uncle {uncle_id} referenced by block {block_id} was already referenced "
+            f"by its ancestor {ancestor}"
+        )
+    return None

@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..chain.arrays import make_block_tree
+from ..chain.arrays import ArrayBlockTree
 from ..chain.block import GENESIS_ID, MinerKind
 from ..chain.fork_choice import LongestChainRule
 from ..chain.rewards import ChainSettlement, settle_rewards
@@ -213,10 +213,9 @@ class NetworkSimulator:
     ) -> None:
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
-        # Array-backed by default (REPRO_OBJECT_TREE=1 swaps in the object
-        # tree); every hot path below reads it through the id+accessor
-        # protocol shared by both trees, never through Block objects.
-        self.tree = make_block_tree(config.num_blocks + 1)
+        # Every hot path below reads the tree through its id+accessor
+        # protocol, never through Block objects.
+        self.tree = ArrayBlockTree(config.num_blocks + 1)
         self.rng = RandomSource(config.seed)
         self.queue = EventQueue()
         self._max_uncles = config.max_uncles_per_block

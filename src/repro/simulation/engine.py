@@ -1,6 +1,6 @@
 """The full-fidelity mining-race simulator (Section V of the paper).
 
-The simulator materialises every mined block in a :class:`~repro.chain.blocktree.BlockTree`
+The simulator records every mined block in an :class:`~repro.chain.arrays.ArrayBlockTree`
 and plays out the race between the pool and honest miners.  It is split into
 *mechanism* and *policy*:
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chain.arrays import make_block_tree
+from ..chain.arrays import ArrayBlockTree
 from ..chain.block import MinerKind
 from ..chain.fork_choice import LongestChainRule
 from ..chain.rewards import ChainSettlement, settle_rewards
@@ -119,10 +119,9 @@ class ChainSimulator:
     def __init__(self, config: SimulationConfig, *, strategy: MiningStrategy | None = None) -> None:
         self.config = config
         self.strategy = strategy if strategy is not None else config.make_strategy()
-        # Array-backed by default (REPRO_OBJECT_TREE=1 swaps in the object
-        # tree); one mining event adds at most one block, so the event budget
-        # is the exact capacity hint.
-        self.tree = make_block_tree(config.num_blocks + 1)
+        # One mining event adds at most one block, so the event budget is the
+        # exact capacity hint.
+        self.tree = ArrayBlockTree(config.num_blocks + 1)
         self.rng = RandomSource(config.seed)
         self.race = RaceState(root_id=self.tree.genesis.block_id)
         self._events_run = 0

@@ -3,9 +3,9 @@
 The paper's evaluation averages 10 independent runs of 100 000 blocks for every
 parameter point.  :func:`run_many` reproduces that protocol (with configurable run
 counts and lengths), deriving an independent random stream for every run from one
-master seed so that experiments are exactly reproducible.  :func:`simulate_alpha_sweep`
+master seed so that experiments are exactly reproducible.  :class:`SimulatedAlphaSweep`
 is the simulation-side counterpart of :func:`repro.analysis.sweep.sweep_alpha`, used
-for the simulation overlays in Fig. 8.
+for the simulation overlays in Figs. 8 and 9.
 
 Because the runs of an experiment are independent, :func:`run_many` fans them out
 over a process pool: by default (``max_workers=None``) one worker per usable CPU,
@@ -35,7 +35,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..backends import available_backends, make_simulator
 from ..errors import SimulationError
@@ -420,73 +420,6 @@ class SimulatedAlphaSweep:
                 for outcome in sweep.cells
             ),
         )
-
-
-def simulate_alpha_sweep(
-    alphas: Iterable[float],
-    base_config: SimulationConfig,
-    *,
-    num_runs: int = 3,
-    backend: str = "chain",
-    max_workers: int | None = None,
-    store: "ResultStore | None" = None,
-) -> SimulatedAlphaSweep:
-    """Run the simulator over a grid of pool sizes at the base configuration's ``gamma``.
-
-    The runs of *all* grid points share one process pool (see :func:`run_many_grid`;
-    default: every usable CPU, ``1`` = serial in-process), so the parallelism is
-    effective even with few runs per point.
-    """
-    params_grid = [
-        MiningParams(alpha=alpha, gamma=base_config.params.gamma) for alpha in alphas
-    ]
-    aggregates = run_many_grid(
-        [base_config.with_params(params) for params in params_grid],
-        num_runs,
-        backend=backend,
-        max_workers=max_workers,
-        store=store,
-    )
-    points = [
-        SimulatedSweepPoint(params=params, aggregate=aggregate)
-        for params, aggregate in zip(params_grid, aggregates)
-    ]
-    return SimulatedAlphaSweep(gamma=base_config.params.gamma, points=tuple(points))
-
-
-def simulate_strategy_sweep(
-    strategies: Sequence[str],
-    base_config: SimulationConfig,
-    *,
-    num_runs: int = 3,
-    backend: str = "chain",
-    max_workers: int | None = None,
-    store: "ResultStore | None" = None,
-) -> dict[str, AggregatedResult]:
-    """Run the same configuration under several mining strategies.
-
-    Every strategy sees the same master seed, so differences between the aggregates
-    are attributable to the strategies alone (paired-comparison protocol).  The runs
-    of all strategies share one process pool (see :func:`run_many_grid`).
-    """
-    aggregates = run_many_grid(
-        [base_config.with_strategy(strategy) for strategy in strategies],
-        num_runs,
-        backend=backend,
-        max_workers=max_workers,
-        store=store,
-    )
-    return dict(zip(strategies, aggregates))
-
-
-def compare_backends(
-    config: SimulationConfig, *, num_runs: int = 3, max_workers: int | None = None
-) -> dict[str, AggregatedResult]:
-    """Run both simulator backends on the same configuration (used by tests/examples)."""
-    return {
-        backend: run_many(config, num_runs, backend=backend, max_workers=max_workers)
-        for backend in BACKENDS
-    }
 
 
 def honest_baseline_config(config: SimulationConfig) -> SimulationConfig:

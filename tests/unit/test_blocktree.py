@@ -1,20 +1,20 @@
-"""Unit tests for :mod:`repro.chain.blocktree`."""
+"""Unit tests for :class:`repro.chain.arrays.ArrayBlockTree`."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.chain.arrays import ArrayBlockTree
 from repro.chain.block import GENESIS_ID, MinerKind
-from repro.chain.blocktree import BlockTree
 from repro.errors import ChainStructureError, UnknownBlockError
 
 
 @pytest.fixture()
-def tree() -> BlockTree:
-    return BlockTree()
+def tree() -> ArrayBlockTree:
+    return ArrayBlockTree()
 
 
-def build_linear_chain(tree: BlockTree, length: int, miner: MinerKind = MinerKind.HONEST):
+def build_linear_chain(tree: ArrayBlockTree, length: int, miner: MinerKind = MinerKind.HONEST):
     """Append ``length`` blocks on top of the genesis block and return them."""
     blocks = []
     parent = GENESIS_ID
@@ -29,190 +29,141 @@ class TestInsertion:
     def test_new_tree_contains_only_genesis(self, tree):
         assert len(tree) == 1
         assert tree.genesis.block_id == GENESIS_ID
+        assert tree.block(GENESIS_ID) == tree.genesis
 
     def test_add_block_assigns_sequential_ids_and_heights(self, tree):
         blocks = build_linear_chain(tree, 3)
         assert [block.block_id for block in blocks] == [1, 2, 3]
         assert [block.height for block in blocks] == [1, 2, 3]
+        assert tree.next_block_id == 4
+
+    def test_add_block_returns_the_stored_record(self, tree):
+        first = tree.add_block(GENESIS_ID, MinerKind.HONEST)
+        fork = tree.add_block(GENESIS_ID, MinerKind.POOL, miner_index=0, created_at=7)
+        block = tree.add_block(first.block_id, MinerKind.POOL, miner_index=3, uncle_ids=[2])
+        assert tree.block(block.block_id) == block
+        assert block.uncle_ids == (fork.block_id,)
+        assert block.miner_index == 3
+        assert tree.block(fork.block_id).created_at == 7
 
     def test_add_block_unknown_parent_rejected(self, tree):
-        with pytest.raises(UnknownBlockError):
+        with pytest.raises(UnknownBlockError, match="^'block 99 is not in the tree'$"):
             tree.add_block(99, MinerKind.HONEST)
 
     def test_add_block_unknown_uncle_rejected(self, tree):
-        with pytest.raises(UnknownBlockError):
+        with pytest.raises(UnknownBlockError, match="^'uncle 55 is not in the tree'$"):
             tree.add_block(GENESIS_ID, MinerKind.HONEST, uncle_ids=[55])
 
     def test_duplicate_uncle_reference_rejected(self, tree):
         first = tree.add_block(GENESIS_ID, MinerKind.HONEST)
         fork = tree.add_block(GENESIS_ID, MinerKind.POOL)
-        with pytest.raises(ChainStructureError):
+        with pytest.raises(ChainStructureError, match="^uncle 2 referenced twice by the same block$"):
             tree.add_block(first.block_id, MinerKind.HONEST, uncle_ids=[fork.block_id, fork.block_id])
 
     def test_parent_as_uncle_rejected(self, tree):
         first = tree.add_block(GENESIS_ID, MinerKind.HONEST)
-        with pytest.raises(ChainStructureError):
+        with pytest.raises(ChainStructureError, match="own parent as an uncle"):
             tree.add_block(first.block_id, MinerKind.HONEST, uncle_ids=[first.block_id])
 
-    def test_children_tracking(self, tree):
+    def test_rejected_insertion_leaves_the_tree_unchanged(self, tree):
         first = tree.add_block(GENESIS_ID, MinerKind.HONEST)
-        second = tree.add_block(GENESIS_ID, MinerKind.POOL)
-        child_ids = [child.block_id for child in tree.children(GENESIS_ID)]
-        assert child_ids == [first.block_id, second.block_id]
-        assert tree.children(first.block_id) == []
+        with pytest.raises(UnknownBlockError):
+            tree.add_block(first.block_id, MinerKind.HONEST, uncle_ids=[9])
+        assert len(tree) == 2
+        assert tree.reference_columns()[0].size == 0
+
+    def test_unknown_block_lookup_rejected(self, tree):
+        with pytest.raises(UnknownBlockError):
+            tree.block(1)
+
+    def test_columns_grow_past_the_initial_capacity(self):
+        tree = ArrayBlockTree(capacity=2)
+        blocks = build_linear_chain(tree, 40)
+        assert tree.height_column().tolist() == list(range(41))
+        assert tree.parent_column().tolist() == [-1] + list(range(40))
+        assert tree.block(blocks[-1].block_id).height == 40
 
 
 class TestPublication:
     def test_blocks_published_by_default(self, tree):
         block = tree.add_block(GENESIS_ID, MinerKind.HONEST)
-        assert tree.is_published(block.block_id)
+        assert block.block_id in tree.published_ids
 
     def test_withheld_block_then_published(self, tree):
         block = tree.add_block(GENESIS_ID, MinerKind.POOL, published=False)
-        assert not tree.is_published(block.block_id)
+        assert tree.unpublished_ids() == [block.block_id]
+        assert not tree.published_column()[block.block_id]
         tree.publish(block.block_id)
-        assert tree.is_published(block.block_id)
-
-    def test_published_blocks_listing(self, tree):
-        visible = tree.add_block(GENESIS_ID, MinerKind.HONEST)
-        hidden = tree.add_block(GENESIS_ID, MinerKind.POOL, published=False)
-        published_ids = {block.block_id for block in tree.published_blocks()}
-        assert visible.block_id in published_ids
-        assert hidden.block_id not in published_ids
+        assert tree.unpublished_ids() == []
+        assert tree.published_column()[block.block_id]
 
     def test_publish_unknown_block_rejected(self, tree):
         with pytest.raises(UnknownBlockError):
             tree.publish(123)
 
 
-class TestWalks:
-    def test_chain_to_returns_root_first_path(self, tree):
+class TestChainsAndForkPoints:
+    def test_main_chain_ids_are_root_first(self, tree):
         blocks = build_linear_chain(tree, 4)
-        path = tree.chain_to(blocks[-1].block_id)
-        assert [block.block_id for block in path] == [GENESIS_ID, 1, 2, 3, 4]
+        tree.add_block(blocks[1].block_id, MinerKind.POOL)
+        assert tree.main_chain_ids(blocks[-1].block_id) == [GENESIS_ID, 1, 2, 3, 4]
+        assert tree.main_chain_ids(5) == [GENESIS_ID, 1, 2, 5]
 
-    def test_ancestors_exclude_self_by_default(self, tree):
-        blocks = build_linear_chain(tree, 3)
-        ancestors = [block.block_id for block in tree.ancestors(blocks[-1].block_id)]
-        assert ancestors == [2, 1, GENESIS_ID]
-
-    def test_is_ancestor(self, tree):
-        blocks = build_linear_chain(tree, 3)
-        fork = tree.add_block(blocks[0].block_id, MinerKind.POOL)
-        assert tree.is_ancestor(blocks[0].block_id, blocks[2].block_id)
-        assert tree.is_ancestor(GENESIS_ID, fork.block_id)
-        assert not tree.is_ancestor(blocks[2].block_id, blocks[0].block_id)
-        assert not tree.is_ancestor(fork.block_id, blocks[2].block_id)
-
-    def test_common_ancestor(self, tree):
-        blocks = build_linear_chain(tree, 3)
-        fork = tree.add_block(blocks[0].block_id, MinerKind.POOL)
-        ancestor = tree.common_ancestor(blocks[2].block_id, fork.block_id)
-        assert ancestor.block_id == blocks[0].block_id
-
-    def test_fork_point_agrees_with_common_ancestor(self, tree):
+    def test_fork_point_of_two_branches(self, tree):
         blocks = build_linear_chain(tree, 5)
         fork = tree.add_block(blocks[1].block_id, MinerKind.POOL)
         deeper = tree.add_block(fork.block_id, MinerKind.POOL)
-        for first, second in [
-            (blocks[4].block_id, deeper.block_id),
-            (deeper.block_id, blocks[4].block_id),  # argument order is irrelevant
-            (blocks[4].block_id, blocks[2].block_id),  # one chain contains the other
-        ]:
-            assert (
-                tree.fork_point(first, second).block_id
-                == tree.common_ancestor(first, second).block_id
-            )
+        assert tree.fork_point_id(blocks[4].block_id, deeper.block_id) == blocks[1].block_id
+        assert tree.fork_point_id(deeper.block_id, blocks[4].block_id) == blocks[1].block_id
+        # One chain contains the other.
+        assert tree.fork_point_id(blocks[4].block_id, blocks[2].block_id) == blocks[2].block_id
 
     def test_fork_point_of_a_block_with_itself(self, tree):
         blocks = build_linear_chain(tree, 2)
-        assert tree.fork_point(blocks[1].block_id, blocks[1].block_id).block_id == blocks[1].block_id
+        assert tree.fork_point_id(blocks[1].block_id, blocks[1].block_id) == blocks[1].block_id
 
     def test_fork_point_of_disjoint_branches_is_genesis(self, tree):
         blocks = build_linear_chain(tree, 2)
         other = tree.add_block(GENESIS_ID, MinerKind.POOL)
-        assert tree.fork_point(blocks[1].block_id, other.block_id).block_id == GENESIS_ID
+        assert tree.fork_point_id(blocks[1].block_id, other.block_id) == GENESIS_ID
 
     def test_fork_point_unknown_block_rejected(self, tree):
         build_linear_chain(tree, 1)
         with pytest.raises(UnknownBlockError):
-            tree.fork_point(1, 999)
+            tree.fork_point_id(1, 999)
 
 
 class TestTipsAndHeights:
     def test_tips_of_linear_chain(self, tree):
         blocks = build_linear_chain(tree, 3)
-        tips = tree.tips()
-        assert [tip.block_id for tip in tips] == [blocks[-1].block_id]
+        assert tree.tip_ids() == [blocks[-1].block_id]
 
     def test_fork_produces_two_tips(self, tree):
         blocks = build_linear_chain(tree, 2)
         fork = tree.add_block(blocks[0].block_id, MinerKind.POOL)
-        tip_ids = {tip.block_id for tip in tree.tips()}
-        assert tip_ids == {blocks[-1].block_id, fork.block_id}
+        assert tree.tip_ids() == [blocks[-1].block_id, fork.block_id]
 
     def test_published_only_tips_ignore_withheld_children(self, tree):
         blocks = build_linear_chain(tree, 2)
         tree.add_block(blocks[-1].block_id, MinerKind.POOL, published=False)
-        published_tips = tree.tips(published_only=True)
-        assert [tip.block_id for tip in published_tips] == [blocks[-1].block_id]
+        assert tree.tip_ids(published_only=True) == [blocks[-1].block_id]
 
-    def test_max_height_and_blocks_at_height(self, tree):
+    def test_max_height_and_ids_at_height(self, tree):
         blocks = build_linear_chain(tree, 3)
-        fork = tree.add_block(blocks[1].block_id, MinerKind.POOL)
+        fork = tree.add_block(blocks[1].block_id, MinerKind.POOL, published=False)
         assert tree.max_height() == 3
-        at_height_three = {block.block_id for block in tree.blocks_at_height(3)}
-        assert at_height_three == {blocks[2].block_id, fork.block_id}
+        assert tree.max_height(published_only=True) == 3
+        assert tree.ids_at_height(3) == [blocks[2].block_id, fork.block_id]
+        assert tree.count_at_height(3) == 2
+        assert tree.ids_at_height(9) == []
 
-    def test_blocks_in_height_range_uses_inclusive_bounds(self, tree):
-        build_linear_chain(tree, 5)
-        found = tree.blocks_in_height_range(2, 4)
-        assert sorted(block.height for block in found) == [2, 3, 4]
-
-    def test_blocks_in_height_range_respects_publication_filter(self, tree):
-        blocks = build_linear_chain(tree, 2)
-        tree.add_block(blocks[-1].block_id, MinerKind.POOL, published=False)
-        visible = tree.blocks_in_height_range(0, 10, published_only=True)
-        assert all(tree.is_published(block.block_id) for block in visible)
-
-
-class TestUncleCandidates:
-    def test_linear_chain_has_no_candidates(self, tree):
-        build_linear_chain(tree, 6)
-        assert tree.uncle_candidates(1, 6) == []
-
-    def test_both_children_of_a_fork_become_candidates(self, tree):
-        blocks = build_linear_chain(tree, 2)
-        fork = tree.add_block(blocks[0].block_id, MinerKind.POOL)
-        candidate_ids = {block.block_id for block in tree.uncle_candidates(1, 5)}
-        assert candidate_ids == {blocks[1].block_id, fork.block_id}
-
-    def test_first_child_is_indexed_when_the_fork_appears(self, tree):
-        blocks = build_linear_chain(tree, 3)
-        # No forks yet anywhere.
-        assert tree.uncle_candidates(1, 3) == []
-        fork = tree.add_block(blocks[1].block_id, MinerKind.POOL)
-        candidate_ids = {block.block_id for block in tree.uncle_candidates(1, 3)}
-        # The pre-existing chain block at the forked height is indexed retroactively.
-        assert candidate_ids == {blocks[2].block_id, fork.block_id}
-
-    def test_height_window_is_inclusive_and_respects_publication(self, tree):
-        blocks = build_linear_chain(tree, 3)
-        withheld = tree.add_block(blocks[0].block_id, MinerKind.POOL, published=False)
-        assert withheld.height == 2
-        assert withheld.block_id in {b.block_id for b in tree.uncle_candidates(2, 2)}
-        assert withheld.block_id not in {
-            b.block_id for b in tree.uncle_candidates(2, 2, published_only=True)
-        }
-        assert tree.uncle_candidates(3, 3) == []
-
-    def test_candidates_are_a_subset_of_the_height_range(self, tree):
-        blocks = build_linear_chain(tree, 4)
-        tree.add_block(blocks[1].block_id, MinerKind.POOL)
-        tree.add_block(blocks[2].block_id, MinerKind.POOL)
-        range_ids = {b.block_id for b in tree.blocks_in_height_range(1, 4)}
-        candidate_ids = {b.block_id for b in tree.uncle_candidates(1, 4)}
-        assert candidate_ids <= range_ids
+    def test_scalar_accessors(self, tree):
+        pool_block = tree.add_block(GENESIS_ID, MinerKind.POOL, created_at=4)
+        assert tree.height_of(pool_block.block_id) == 1
+        assert tree.parent_id_of(pool_block.block_id) == GENESIS_ID
+        assert tree.parent_id_of(GENESIS_ID) == -1
+        assert tree.is_pool_block(pool_block.block_id)
+        assert tree.created_at_of(pool_block.block_id) == 4
 
 
 class TestStatistics:

@@ -130,12 +130,12 @@ class TestStrategyBehaviour:
     def test_uncle_references_capped_by_config(self):
         simulator = ChainSimulator(config(blocks=3000, max_uncles_per_block=1))
         simulator.run()
-        assert all(len(block.uncle_ids) <= 1 for block in simulator.tree.blocks())
+        assert all(len(block.uncle_ids) <= 1 for block in map(simulator.tree.block, range(len(simulator.tree))))
 
     def test_no_uncle_references_when_disabled(self):
         simulator = ChainSimulator(config(blocks=2000, max_uncles_per_block=0))
         result = simulator.run()
-        assert all(len(block.uncle_ids) == 0 for block in simulator.tree.blocks())
+        assert all(len(block.uncle_ids) == 0 for block in map(simulator.tree.block, range(len(simulator.tree))))
         assert result.uncle_blocks == 0
 
     def test_warmup_blocks_reduce_accounted_totals(self):

@@ -184,7 +184,7 @@ class TestNetworkBehaviour:
         simulator.run()
         pool_blocks = [
             block
-            for block in simulator.tree.blocks()
+            for block in map(simulator.tree.block, range(len(simulator.tree)))
             if not block.is_genesis and block.miner is MinerKind.POOL
         ]
         assert pool_blocks

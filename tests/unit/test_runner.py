@@ -12,15 +12,14 @@ from repro.experiments.figure8 import run_figure8
 from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import (
-    compare_backends,
+    SimulatedAlphaSweep,
+    SimulatedSweepPoint,
     execute_runs,
     honest_baseline_config,
     run_many,
     run_many_grid,
     run_once,
     sequential_seeds,
-    simulate_alpha_sweep,
-    simulate_strategy_sweep,
 )
 from repro.store import ResultStore
 from repro.utils.resilient import TaskFailure, resilient_map
@@ -98,22 +97,32 @@ class TestRunMany:
             assert serial_cell.relative_pool_revenue == parallel_cell.relative_pool_revenue
 
 
+def alpha_sweep(alphas) -> SimulatedAlphaSweep:
+    """A one-run-per-point Markov sweep over ``alphas`` at ``CONFIG``'s ``gamma``."""
+    grid = [MiningParams(alpha=alpha, gamma=CONFIG.params.gamma) for alpha in alphas]
+    aggregates = run_many_grid(
+        [CONFIG.with_params(params) for params in grid], 1, backend="markov"
+    )
+    return SimulatedAlphaSweep(
+        gamma=CONFIG.params.gamma,
+        points=tuple(
+            SimulatedSweepPoint(params=params, aggregate=aggregate)
+            for params, aggregate in zip(grid, aggregates)
+        ),
+    )
+
+
 class TestSweepAndHelpers:
     def test_simulated_alpha_sweep_covers_grid(self):
-        sweep = simulate_alpha_sweep([0.1, 0.3], CONFIG, num_runs=1, backend="markov")
+        sweep = alpha_sweep([0.1, 0.3])
         assert sweep.alphas == [0.1, 0.3]
         assert len(sweep.pool_absolute_scenario1()) == 2
+        assert len(sweep.honest_absolute_scenario1()) == 2
         assert sweep.gamma == 0.5
 
     def test_pool_revenue_increases_along_the_sweep(self):
-        sweep = simulate_alpha_sweep([0.1, 0.4], CONFIG, num_runs=1, backend="markov")
-        values = sweep.pool_absolute_scenario1()
+        values = alpha_sweep([0.1, 0.4]).pool_absolute_scenario1()
         assert values[1] > values[0]
-
-    def test_compare_backends_returns_every_backend(self):
-        small = SimulationConfig(params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=1500, seed=2)
-        results = compare_backends(small, num_runs=1)
-        assert set(results) == {"chain", "markov", "network"}
 
     def test_honest_baseline_config_switches_strategy_only(self):
         baseline = honest_baseline_config(CONFIG)
@@ -124,10 +133,11 @@ class TestSweepAndHelpers:
 
     def test_strategy_sweep_covers_requested_strategies(self):
         small = SimulationConfig(params=MiningParams(alpha=0.35, gamma=0.5), num_blocks=1200, seed=3)
-        results = simulate_strategy_sweep(("honest", "selfish"), small, num_runs=1)
-        assert set(results) == {"honest", "selfish"}
-        assert results["honest"].stale_fraction.mean == 0.0
-        assert results["selfish"].stale_fraction.mean >= 0.0
+        honest, selfish = run_many_grid(
+            [small.with_strategy("honest"), small.with_strategy("selfish")], 1
+        )
+        assert honest.stale_fraction.mean == 0.0
+        assert selfish.stale_fraction.mean >= 0.0
 
     def test_sequential_seeds_are_deterministic_and_distinct(self):
         first = sequential_seeds(42, 4)
