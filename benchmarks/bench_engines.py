@@ -24,7 +24,7 @@ from repro.chain.fork_choice import LongestChainRule
 from repro.chain.rewards import settle_rewards
 from repro.chain.validation import validate_tree
 from repro.markov.stationary import stationary_distribution
-from repro.markov.transitions import build_selfish_mining_chain
+from repro.markov.transitions import build_selfish_mining_chain, compiled_selfish_chain
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
 from repro.simulation.config import SimulationConfig
@@ -50,6 +50,18 @@ def test_stationary_solve_benchmark(benchmark, max_lead):
     else:
         result = benchmark(stationary_distribution, chain)
     assert result.total_probability() == pytest.approx(1.0)
+
+
+def test_structured_stationary_benchmark(benchmark):
+    """The structured solve of the compiled ``max_lead=60`` chain at ``PARAMS``.
+
+    The ``--check`` control is ``test_stationary_solve_benchmark[60]``, the
+    generic SuperLU solve of the same chain: this must be at least 3x faster in
+    the same run.
+    """
+    compiled = compiled_selfish_chain(60)
+    probabilities = benchmark(compiled.stationary, PARAMS)
+    assert probabilities.sum() == pytest.approx(1.0)
 
 
 def test_revenue_evaluation_benchmark(benchmark):

@@ -13,8 +13,9 @@ quantities behind every figure and table of the paper's evaluation.
 The computation is a single weighted sum: for every transition ``t`` out of state
 ``s``, the expected reward record of ``t`` is weighted by ``pi(s) * rate(t)`` — the
 long-run frequency of that transition — and accumulated.  Transitions sharing an
-Appendix-B case and uncle distance share their record, so the sum runs over those
-groups: each record is priced once and every rate is one dot product.
+Appendix-B case and uncle distance share their record, and so do cases 7-10 at
+one distance, so the sum runs over those groups: each record is priced once and
+every rate is one dot product.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..errors import SolverError, StateSpaceError
 from ..markov.chain import MarkovChain
 from ..markov.state import State
 from ..markov.stationary import StationaryResult, stationary_distribution
@@ -119,22 +121,32 @@ class RevenueModel:
     schedule:
         Reward schedule (defaults to the Ethereum Byzantium rules).
     max_lead:
-        Truncation of the Markov state space.  The truncation error decays roughly
-        like ``(alpha / beta) ** max_lead`` (the pool's lead performs a biased random
-        walk); the default of 60 keeps it below ``1e-8`` across the paper's parameter
-        range except at the extreme corner ``alpha = 0.45, gamma = 0`` where it is of
-        order ``1e-4``.  The paper itself truncates at 200; pass a larger value for
-        tighter tails at the cost of a slower sparse solve.
+        Truncation of the Markov state space: the longest private branch kept.
+        It caps the branch, not the lead, so the error depends on ``gamma``: at
+        ``gamma = 0`` a race never shortens the pool's branch and long races pile
+        up at the cap.  The default of 60 moves the pool's share ``Rs`` from its
+        value at the paper's 200 by about ``1.5e-2`` at ``alpha = 0.45, gamma = 0``,
+        ``5e-4`` at ``(0.40, 0)`` and ``1.5e-8`` at ``(0.30, 0)``; at ``gamma = 0.5``
+        by ``1.9e-6`` at ``alpha = 0.45``, ``1.6e-11`` at ``0.40`` and below
+        ``1e-16`` at ``alpha <= 0.35``.  Pass 200 for the paper's tails; its solve
+        takes about 25 ms.
     solver_method:
-        Stationary-distribution solver passed through to
-        :func:`repro.markov.stationary.stationary_distribution`.
+        ``"direct"`` (the default) solves the chain by its structure with
+        :meth:`~repro.markov.transitions.CompiledSelfishChain.stationary`;
+        ``"power"`` runs the generic power iteration of
+        :func:`repro.markov.stationary.stationary_distribution` as an independent
+        cross-check; ``"auto"`` is the structured solve with power iteration as
+        its fallback on :class:`~repro.errors.SolverError`.
 
     The transition structure of each truncation is compiled once per process
     (:func:`~repro.markov.transitions.compiled_selfish_chain`) and shared by every
-    model.  A parameter point then costs one gather of the rates, one sparse LU
-    solve (most of the time), one pricing of each (case, uncle distance) group
-    with :func:`~repro.analysis.reward_cases.transition_rewards` and a few dot
-    products: about 8 ms at ``max_lead=60`` on one core of a 2-vCPU Xeon.
+    model.  A parameter point then costs one gather of the rates, the structured
+    stationary solve (a sweep and one dense ``(max_lead-2)``-square solve), one
+    pricing of each group with
+    :func:`~repro.analysis.reward_cases.transition_rewards` (67 at
+    ``max_lead=60``) and a few dot products: about 1.3 ms at ``max_lead=60`` on
+    one core of a 2-vCPU Xeon.  :meth:`revenue_rates` and :meth:`stationary` use
+    the same solve.
     """
 
     #: Default truncation level; see the class docstring.
@@ -155,9 +167,30 @@ class RevenueModel:
         """The truncated selfish-mining chain at ``params`` over this model's state space."""
         return compiled_selfish_chain(self.max_lead).chain(params)
 
+    def _solve(self, params: MiningParams) -> tuple[np.ndarray, str]:
+        """Stationary probabilities at ``params`` in state-space order, and the method used."""
+        compiled = compiled_selfish_chain(self.max_lead)
+        method = self.solver_method
+        if method in ("direct", "auto"):
+            try:
+                return compiled.stationary(params), "structured"
+            except SolverError:
+                if method == "direct":
+                    raise
+            method = "power"
+        result = stationary_distribution(compiled.chain(params), method=method)
+        return np.asarray(result.probabilities), result.method
+
     def stationary(self, params: MiningParams) -> StationaryResult:
-        """Stationary distribution of the chain at ``params``."""
-        return stationary_distribution(self.build_chain(params), method=self.solver_method)
+        """Stationary distribution of the chain at ``params``, from the solve :meth:`revenue_rates` uses."""
+        chain = self.build_chain(params)
+        probabilities, method = self._solve(params)
+        return StationaryResult(
+            chain=chain,
+            probabilities=tuple(probabilities.tolist()),
+            method=method,
+            residual=float(np.max(np.abs(probabilities @ chain.generator_matrix()))),
+        )
 
     # ------------------------------------------------------------------ public API
     def revenue_rates(self, params: MiningParams, *, stationary: StationaryResult | None = None) -> RevenueRates:
@@ -168,15 +201,20 @@ class RevenueModel:
         params:
             The ``(alpha, gamma)`` point to evaluate.
         stationary:
-            Optionally, a pre-computed stationary distribution (must belong to a chain
-            built over the same truncated state space).
+            Optionally, a pre-computed stationary distribution.  It must belong to a
+            chain over this model's truncated state space; any other raises
+            :class:`~repro.errors.StateSpaceError`.
         """
         compiled = compiled_selfish_chain(self.max_lead)
-        chain = compiled.chain(params)
         if stationary is None:
-            probabilities = np.asarray(stationary_distribution(chain, method=self.solver_method).probabilities)
+            probabilities, _ = self._solve(params)
+        elif stationary.chain.states != compiled.space.states:
+            raise StateSpaceError(
+                f"stationary distribution over {len(stationary.chain)} states does not belong to "
+                f"this model's truncation (max_lead={self.max_lead}, {len(compiled.space)} states)"
+            )
         else:
-            probabilities = np.array([stationary.get(state) for state in compiled.space])
+            probabilities = np.asarray(stationary.probabilities)
         # Long-run frequency of each transition, summed per pricing group, times
         # each group's reward record: every rate is one dot product.
         records = np.array(
@@ -185,9 +223,8 @@ class RevenueModel:
                 for transition in compiled.representatives(params)
             ]
         )
-        group_weights = np.bincount(
-            compiled.groups, weights=probabilities[compiled.sources] * chain.rates, minlength=len(records)
-        )
+        frequencies = probabilities[compiled.sources] * compiled.rates(params)
+        group_weights = np.bincount(compiled.groups, weights=frequencies, minlength=len(records))
         totals = dict(zip(REWARD_COMPONENTS, (group_weights @ records).tolist()))
         honest_uncles = group_weights * records[:, REWARD_COMPONENTS.index("honest_uncle_blocks")]
         distance_rates: dict[int, float] = {}

@@ -5,9 +5,10 @@ The paper models the race between the selfish pool and honest miners as a
 public branch lengths, Section IV-B).  This subpackage provides:
 
 * :mod:`repro.markov.state` — the state type and truncated state-space enumeration,
-* :mod:`repro.markov.transitions` — the transition rates of Section IV-C,
+* :mod:`repro.markov.transitions` — the transition rates of Section IV-C and the
+  compiled chain with its structured stationary solve,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
-* :mod:`repro.markov.stationary` — stationary-distribution solvers,
+* :mod:`repro.markov.stationary` — generic stationary-distribution solvers,
 * :mod:`repro.markov.closed_form` — the closed-form distribution of Eq. (2) and the
   multiple-summation helper ``f(x, y, z)`` of Appendix A.
 """

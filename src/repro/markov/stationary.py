@@ -1,6 +1,9 @@
-"""Stationary-distribution solvers for finite Markov chains.
+"""Generic stationary-distribution solvers for finite Markov chains.
 
-Two solvers are provided:
+The selfish-mining chain of the revenue analysis is solved by its structure
+instead (:meth:`repro.markov.transitions.CompiledSelfishChain.stationary`); the
+solvers here serve every other chain (the Bitcoin model, the MDP policy chains)
+and cross-check that one.  Two solvers are provided:
 
 * a direct sparse linear solve of the global balance equations ``pi Q = 0`` with the
   normalisation ``sum(pi) = 1`` (the default), and

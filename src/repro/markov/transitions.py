@@ -36,7 +36,9 @@ approximation, footnote 3).
 The structure (targets and kinds) does not depend on ``(alpha, gamma)``; only the
 rates do, and :func:`case_rates` is the one place they are written.
 :func:`compiled_selfish_chain` compiles the structure once per truncation so the
-analysis re-rates it per parameter point instead of enumerating it again.
+analysis re-rates it per parameter point instead of enumerating it again, and
+solves for the stationary distribution by the chain's structure
+(:meth:`CompiledSelfishChain.stationary`).
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ from typing import Iterator
 
 import numpy as np
 
+from ..errors import SolverError
 from ..params import MiningParams
 from .chain import MarkovChain, Transition
 from .state import State, StateSpace
+from .stationary import _clean_distribution
 
 
 class TransitionKind(enum.Enum):
@@ -233,24 +237,23 @@ class CompiledSelfishChain:
     Holds, per transition in :func:`selfish_mining_transitions` order, the source
     state index, the Appendix-B case number and the uncle distance (0 where there
     is none), and a template :class:`MarkovChain` with the targets and labels.
-    Only the rates depend on ``(alpha, gamma)``: :meth:`chain` fills them in from
-    :func:`case_rates` with one gather, so a parameter point costs a vector copy
-    instead of an enumeration.  Get instances from :func:`compiled_selfish_chain`,
-    which caches one per truncation.
+    Only the rates depend on ``(alpha, gamma)``: :meth:`rates` gathers them from
+    :func:`case_rates` and :meth:`chain` fills them into the template, so a
+    parameter point costs a vector copy instead of an enumeration.
+    :meth:`stationary` solves the chain by its structure.  Get instances from
+    :func:`compiled_selfish_chain`, which caches one per truncation.
 
     A transition's Appendix-B reward record depends on its case and uncle distance
-    only, so the transitions fall into pricing groups, about two per lead length:
-    ``groups[k]`` is the group of transition ``k`` and :meth:`representatives`
-    returns one transition per group.
+    only, and cases 7-10 (:data:`HONEST_AGAINST_LEAD`) share one record per
+    distance, so the transitions fall into pricing groups, about one per lead
+    length: ``groups[k]`` is the group of transition ``k`` and
+    :meth:`representatives` returns one transition per group.
     """
 
     def __init__(self, max_lead: int) -> None:
         self.space = StateSpace(max_lead)
-        structure = [
-            (state, target, kind)
-            for state in self.space
-            for target, kind in _successors(state, self.space.max_lead)
-        ]
+        max_lead = self.space.max_lead
+        structure = [(state, target, kind) for state in self.space for target, kind in _successors(state, max_lead)]
         self.cases = np.array([kind.value for _, _, kind in structure], dtype=np.intp)
         self.uncle_distances = np.array(
             [uncle_distance(kind, state) or 0 for state, _, kind in structure], dtype=np.intp
@@ -260,12 +263,33 @@ class CompiledSelfishChain:
             [Transition(state, target, 0.0, kind.name) for state, target, kind in structure],
         )
         self.sources = self._template.source_indices
-        keys = self.cases * (self.space.max_lead + 1) + self.uncle_distances
+        against_lead = np.isin(self.cases, [kind.value for kind in HONEST_AGAINST_LEAD])
+        pricing_cases = np.where(against_lead, TransitionKind.HONEST_ON_PREFIX_LONG_LEAD.value, self.cases)
+        keys = pricing_cases * (max_lead + 1) + self.uncle_distances
         _, heads, self.groups = np.unique(keys, return_index=True, return_inverse=True)
         self.group_distances = self.uncle_distances[heads]
         self._heads = [structure[head] for head in heads.tolist()]
+        # Layout of the structured solve: the (i, 0) states for i = 0..max_lead,
+        # and the j >= 1 states in sweep order (by j, then i).
+        self._consensus_rows = np.array(
+            [self.space.index_of(State(i, 0)) for i in range(max_lead + 1)], dtype=np.intp
+        )
+        self._swept_rows = np.array(
+            [self.space.index_of(State(i, j)) for j in range(1, max_lead - 1) for i in range(j + 2, max_lead + 1)],
+            dtype=np.intp,
+        )
+        unknowns = max_lead - 2
+        self._lags = np.maximum(np.subtract.outer(np.arange(unknowns), np.arange(unknowns)), 0)
         # Every caller shares the cached instance.
-        for array in (self.cases, self.uncle_distances, self.groups, self.group_distances):
+        for array in (
+            self.cases,
+            self.uncle_distances,
+            self.groups,
+            self.group_distances,
+            self._consensus_rows,
+            self._swept_rows,
+            self._lags,
+        ):
             array.flags.writeable = False
 
     def representatives(self, params: MiningParams) -> list[SelfishTransition]:
@@ -273,9 +297,73 @@ class CompiledSelfishChain:
         rates = case_rates(params)
         return [SelfishTransition(state, target, rates[kind.value], kind) for state, target, kind in self._heads]
 
+    def rates(self, params: MiningParams) -> np.ndarray:
+        """Rate of every transition at ``params``, in :func:`selfish_mining_transitions` order."""
+        return np.array(case_rates(params))[self.cases]
+
     def chain(self, params: MiningParams) -> MarkovChain[State]:
         """The truncated chain at ``params``; equal to :func:`build_selfish_mining_chain`'s."""
-        return self._template.with_rates(np.array(case_rates(params))[self.cases])
+        return self._template.with_rates(self.rates(params))
+
+    def stationary(self, params: MiningParams) -> np.ndarray:
+        """Stationary distribution of :meth:`chain` at ``params``, in :class:`StateSpace` order.
+
+        Solved by the chain's structure (Section IV-C, Appendix A) rather than by a
+        general factorisation.  With ``pi(0,0)`` anchored at 1 and ``L = max_lead``:
+
+        * ``pi(i,0) = alpha**i`` and ``pi(1,1) = alpha*beta`` in closed form;
+        * every inflow to a ``j >= 2`` state comes from ``(i-1, j)`` at rate
+          ``alpha`` or from ``(i, j-1)`` at rate ``beta*(1-gamma)``, so a sweep
+          column by column writes each ``j >= 1`` state as a linear combination of
+          the ``L - 2`` unknowns ``pi(k,1)``, ``k = 3..L``;
+        * only case 7 (rate ``beta*gamma``) flows back, to ``(k,1)`` from the
+          states of lead ``k``, so the balance of the ``(k,1)`` states is one dense
+          ``(L-2) x (L-2)`` system; its solution gives every state and the whole
+          vector is normalised.
+
+        The boundary row ``i = L`` keeps the pool-extension mass as a self-loop, so
+        its balance divides by ``1 - alpha``.  Raises :class:`SolverError` if the
+        dense solve fails or yields a non-finite or significantly negative vector.
+        """
+        alpha, beta, gamma = params.alpha, params.beta, params.gamma
+        unknowns = self.space.max_lead - 2
+        powers = alpha ** np.arange(self.space.max_lead + 1.0)
+        pi = np.empty(len(self.space))
+        pi[self._consensus_rows] = powers
+        pi[self._consensus_rows[-1]] /= beta
+        pi[2] = alpha * beta
+        if unknowns:
+            # Column j of the sweep is `step` applied to column j-1 without its
+            # lead-2 state: a geometric run along i (rate alpha) of the inflow from
+            # the honest branch.  Row r of `coefficients` writes the state
+            # _swept_rows[r] in the unknowns; column 1 is the unknowns themselves.
+            step = beta * (1.0 - gamma) * np.tril(powers[self._lags])
+            coefficients = np.empty((len(self._swept_rows), unknowns))
+            column = coefficients[:unknowns]
+            column[...] = np.eye(unknowns)
+            # back_flow[k-3] is the lead-k mass that case 7 returns to (k,1).
+            back_flow = np.zeros((unknowns, unknowns))
+            back_flow[:-1] += column[1:]
+            start = unknowns
+            for size in range(unknowns - 1, 0, -1):
+                previous, column = column, coefficients[start : start + size]
+                np.matmul(step[:size, :size], previous[1:], out=column)
+                column[-1] /= beta
+                back_flow[: size - 1] += column[1:]
+                start += size
+            # Balance of (k,1): exit rate 1 (beta at k = L, whose pool block is a
+            # self-loop) against case 7, (k-1,1) at rate alpha and (k,0) at rate beta.
+            balance = np.eye(unknowns) - beta * gamma * back_flow
+            balance[np.arange(1, unknowns), np.arange(unknowns - 1)] -= alpha
+            balance[-1, -1] -= alpha
+            try:
+                first = np.linalg.solve(balance, beta * pi[self._consensus_rows[3:]])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"structured stationary solve failed: {exc}") from exc
+            pi[self._swept_rows] = coefficients @ first
+        if not np.all(np.isfinite(pi)):
+            raise SolverError("structured stationary solve produced non-finite values")
+        return _clean_distribution(pi)
 
 
 @functools.lru_cache(maxsize=8)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.revenue import RevenueModel, RevenueRates
 from repro.analysis.reward_cases import transition_rewards
+from repro.errors import StateSpaceError
 from repro.markov.state import StateSpace
 from repro.markov.stationary import stationary_distribution
 from repro.markov.transitions import build_selfish_mining_chain, compiled_selfish_chain, selfish_mining_transitions
@@ -112,7 +113,9 @@ def assert_rates_agree(compiled: RevenueRates, oracle: RevenueRates) -> None:
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_compiled_revenue_matches_scalar_oracle(alpha, gamma, max_lead):
     params = MiningParams(alpha=alpha, gamma=gamma)
-    stationary = stationary_distribution(build_selfish_mining_chain(params, max_lead=max_lead))
+    # The oracle weighs by the distribution of the solve under test, so this pins
+    # pricing and accumulation; tests/unit/test_selfish_stationary.py pins the solve.
+    stationary = RevenueModel(max_lead=max_lead).stationary(params)
     for schedule in SCHEDULES:
         compiled = RevenueModel(schedule, max_lead=max_lead).revenue_rates(params)
         assert_rates_agree(compiled, scalar_revenue_rates(schedule, params, max_lead, stationary))
@@ -136,6 +139,21 @@ def test_supplied_stationary_and_shortcuts_agree_with_the_oracle():
     oracle = scalar_revenue_rates(schedule, params, 30, stationary)
     assert_rates_agree(model.revenue_rates(params, stationary=stationary), oracle)
     assert model.relative_pool_revenue(params) == pytest.approx(oracle.relative_pool_revenue, rel=1e-12)
+
+
+@pytest.mark.parametrize("supplied_lead, model_lead", [(10, 30), (30, 10)])
+def test_stationary_from_another_truncation_is_rejected(supplied_lead, model_lead):
+    params = MiningParams(alpha=0.3, gamma=0.5)
+    stationary = RevenueModel(max_lead=supplied_lead).stationary(params)
+    with pytest.raises(StateSpaceError, match="does not belong to this model's truncation"):
+        RevenueModel(max_lead=model_lead).revenue_rates(params, stationary=stationary)
+
+
+def test_stationary_from_a_generic_solve_is_accepted():
+    params = MiningParams(alpha=0.3, gamma=0.5)
+    stationary = stationary_distribution(build_selfish_mining_chain(params, max_lead=30))
+    rates = RevenueModel(max_lead=30).revenue_rates(params, stationary=stationary)
+    assert rates.block_rate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compiled_chain_is_cached_per_truncation():

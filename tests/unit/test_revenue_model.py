@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.revenue import RevenueModel
+from repro.errors import SolverError
+from repro.markov.transitions import CompiledSelfishChain
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
 
@@ -111,6 +113,51 @@ class TestTruncationAndReuse:
         coarse = RevenueModel(EthereumByzantiumSchedule(), max_lead=30).revenue_rates(params)
         fine = RevenueModel(EthereumByzantiumSchedule(), max_lead=60).revenue_rates(params)
         assert abs(fine.pool.total - reference.pool.total) < abs(coarse.pool.total - reference.pool.total)
+
+    @pytest.mark.parametrize(
+        "alpha, gamma, bound",
+        [
+            (0.45, 0.0, 2e-2),
+            (0.40, 0.0, 1e-3),
+            (0.30, 0.0, 3e-8),
+            (0.45, 0.5, 3e-6),
+            (0.40, 0.5, 3e-11),
+            (0.35, 0.5, 1e-16),
+            (0.30, 1.0, 1e-16),
+            (0.20, 0.5, 1e-16),
+        ],
+    )
+    def test_default_truncation_error_is_as_documented(self, alpha, gamma, bound):
+        # The RevenueModel and profitable_threshold docstrings quote these bounds
+        # on |Rs(max_lead=60) - Rs(max_lead=200)|.
+        params = MiningParams(alpha=alpha, gamma=gamma)
+        default = RevenueModel(max_lead=60).revenue_rates(params).relative_pool_revenue
+        paper = RevenueModel(max_lead=200).revenue_rates(params).relative_pool_revenue
+        assert abs(default - paper) <= bound
+
+    def test_solver_methods_agree(self):
+        params = MiningParams(alpha=0.3, gamma=0.5)
+        methods = {}
+        for method in ("direct", "auto", "power"):
+            model = RevenueModel(max_lead=10, solver_method=method)
+            methods[method] = model.stationary(params).method
+            assert model.relative_pool_revenue(params) == pytest.approx(
+                RevenueModel(max_lead=10).relative_pool_revenue(params), rel=1e-9
+            )
+        assert methods["direct"] == methods["auto"] == "structured"
+        assert methods["power"].startswith("power_iteration")
+        with pytest.raises(SolverError, match="unknown stationary solver method"):
+            RevenueModel(max_lead=10, solver_method="bogus").revenue_rates(params)
+
+    def test_auto_falls_back_to_power_iteration(self, monkeypatch):
+        def fail(self, params):
+            raise SolverError("injected")
+
+        monkeypatch.setattr(CompiledSelfishChain, "stationary", fail)
+        params = MiningParams(alpha=0.3, gamma=0.5)
+        assert RevenueModel(max_lead=10, solver_method="auto").stationary(params).method.startswith("power")
+        with pytest.raises(SolverError, match="injected"):
+            RevenueModel(max_lead=10).revenue_rates(params)
 
     def test_precomputed_stationary_can_be_reused(self, ethereum_model):
         params = MiningParams(alpha=0.3, gamma=0.5)
