@@ -14,6 +14,8 @@ sets it for its ``--smoke`` mode.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,7 +138,7 @@ def test_chain_settlement_benchmark(benchmark):
 
 
 def test_markov_monte_carlo_benchmark(benchmark):
-    """The compiled-table Markov backend (the default ``accumulate="table"``)."""
+    """The compiled-table Markov backend."""
     blocks = scaled(100_000)
     benchmark.extra_info["blocks"] = blocks
     config = SimulationConfig(
@@ -147,17 +149,18 @@ def test_markov_monte_carlo_benchmark(benchmark):
 
 
 def test_markov_monte_carlo_scalar_benchmark(benchmark):
-    """The per-event scalar accumulator, kept as a cross-check baseline.
+    """The per-event scalar loop the test-suite keeps as the Markov backend's oracle.
 
-    ``run_benchmarks.py --check`` asserts the table walk beats this path, so the
+    ``run_benchmarks.py --check`` asserts the table walk beats this loop, so the
     two benchmarks must simulate the same number of blocks.
     """
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "unit"))
+    from markov_oracle import scalar_markov_run
+
     blocks = scaled(100_000)
     benchmark.extra_info["blocks"] = blocks
     config = SimulationConfig(
         params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=blocks, seed=1
     )
-    result = benchmark.pedantic(
-        lambda: MarkovMonteCarlo(config, accumulate="scalar").run(), rounds=1, iterations=1
-    )
+    result, _ = benchmark.pedantic(lambda: scalar_markov_run(config), rounds=1, iterations=1)
     assert result.total_blocks == blocks

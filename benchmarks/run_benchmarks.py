@@ -33,8 +33,8 @@ Usage::
 
 ``--smoke`` shrinks the simulated block counts (via ``REPRO_BENCH_SCALE``) and runs
 single rounds so the whole suite finishes in seconds.  ``--check`` asserts that the
-compiled-table Markov backend beats the scalar accumulate path (the PR 2
-vectorisation), that the network simulator's zero-latency fast path beats the
+compiled-table Markov backend beats the per-event scalar loop kept in
+``tests/unit/markov_oracle.py`` (the PR 2 vectorisation), that the network simulator's zero-latency fast path beats the
 general event loop on the same workload (the PR 6 batched event core), that the
 resilient dispatcher stays near a bare pool.map (PR 7), that the pack-file
 read path beats the loose-entry path by at least 3x in the median (the PR 9
@@ -349,7 +349,7 @@ def attach_overhead_ratios(records: list[dict]) -> None:
 
 
 def check_vectorised_beats_scalar(records: list[dict]) -> None:
-    """Assert the compiled-table Markov walk is faster than the scalar path."""
+    """Assert the compiled-table Markov walk is faster than the scalar oracle loop."""
     by_name = {record["name"]: record for record in records}
     table = by_name.get("test_markov_monte_carlo_benchmark")
     scalar = by_name.get("test_markov_monte_carlo_scalar_benchmark")
@@ -357,7 +357,7 @@ def check_vectorised_beats_scalar(records: list[dict]) -> None:
         raise SystemExit("--check needs both Markov Monte Carlo benchmarks in the selection")
     if table["mean_s"] >= scalar["mean_s"]:
         raise SystemExit(
-            "vectorised Markov backend did not beat the scalar accumulate path: "
+            "vectorised Markov backend did not beat the scalar oracle loop: "
             f"table {table['mean_s']:.4f}s vs scalar {scalar['mean_s']:.4f}s"
         )
     print(

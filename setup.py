@@ -35,7 +35,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    install_requires=["numpy>=1.22", "scipy>=1.8"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },

@@ -14,8 +14,11 @@ The computation is a single weighted sum: for every transition ``t`` out of stat
 ``s``, the expected reward record of ``t`` is weighted by ``pi(s) * rate(t)`` — the
 long-run frequency of that transition — and accumulated.  Transitions sharing an
 Appendix-B case and uncle distance share their record, and so do cases 7-10 at
-one distance, so the sum runs over those groups: each record is priced once and
-every rate is one dot product.
+one distance, so the sum runs over those pricing groups: :class:`GroupRecords`
+prices each record once and :func:`fold_revenue` turns the frequencies into
+:class:`RevenueRates` with one dot product per rate.  The optimal-strategy MDP
+(:mod:`repro.mdp`) and the markov sampler (:mod:`repro.simulation.tables`) price
+through the same table, and the MDP's policy evaluation uses the same fold.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import SolverError, StateSpaceError
+from ..errors import StateSpaceError
 from ..markov.chain import MarkovChain
 from ..markov.state import State
-from ..markov.stationary import StationaryResult, stationary_distribution
-from ..markov.transitions import compiled_selfish_chain
+from ..markov.stationary import StationaryResult
+from ..markov.stationary import stationary_distribution  # noqa: F401 - perfbench/spans.py patches this binding
+from ..markov.transitions import CompiledSelfishChain, SelfishTransition, compiled_selfish_chain, pricing_key
 from ..markov.transitions import selfish_mining_transitions  # noqa: F401 - perfbench/spans.py patches this binding
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
@@ -113,6 +117,76 @@ class RevenueRates:
         }
 
 
+class GroupRecords:
+    """Appendix-B reward vectors at one ``(params, schedule)``, priced once per pricing group.
+
+    A vector is a transition's
+    :meth:`~repro.analysis.reward_cases.TransitionRewards.component_vector`.
+    :meth:`matrix` prices one representative of each group of a compiled chain
+    with :func:`transition_rewards`; :meth:`vector` serves chains enumerated
+    state by state, pricing the first transition of each group
+    (:func:`~repro.markov.transitions.pricing_key`) and reading the stored
+    vector for every later one.
+    """
+
+    def __init__(self, params: MiningParams, schedule: RewardSchedule) -> None:
+        self.params = params
+        self.schedule = schedule
+        self._vectors: dict[tuple[int, int], tuple[float, ...]] = {}
+
+    def matrix(self, compiled: CompiledSelfishChain) -> np.ndarray:
+        """``(groups, components)`` matrix whose row ``g`` is the vector of ``compiled``'s group ``g``."""
+        return np.array([self._price(transition) for transition in compiled.representatives(self.params)])
+
+    def vector(self, transition: SelfishTransition) -> tuple[float, ...]:
+        """The reward vector of ``transition``, in :data:`REWARD_COMPONENTS` order."""
+        key = pricing_key(transition.kind, transition.source)
+        vector = self._vectors.get(key)
+        if vector is None:
+            vector = self._vectors[key] = self._price(transition)
+        return vector
+
+    def _price(self, transition: SelfishTransition) -> tuple[float, ...]:
+        return transition_rewards(transition, self.params, self.schedule).component_vector()
+
+
+def fold_revenue(
+    params: MiningParams,
+    frequencies: np.ndarray,
+    groups: np.ndarray,
+    records: np.ndarray,
+    group_distances: np.ndarray,
+) -> RevenueRates:
+    """The :class:`RevenueRates` of a chain from the long-run frequency of its transitions.
+
+    ``frequencies[k]`` is ``pi(source) * rate`` of transition ``k`` and
+    ``groups[k]`` its pricing group; row ``g`` of ``records`` is group ``g``'s
+    reward vector (:meth:`GroupRecords.matrix`) and ``group_distances[g]`` its
+    uncle distance.  The frequencies are summed per group, so every rate is one
+    dot product with a column of ``records``.
+    """
+    group_weights = np.bincount(groups, weights=frequencies, minlength=len(records))
+    totals = dict(zip(REWARD_COMPONENTS, (group_weights @ records).tolist()))
+    honest_uncles = group_weights * records[:, REWARD_COMPONENTS.index("honest_uncle_blocks")]
+    distance_rates: dict[int, float] = {}
+    for distance, rate in zip(group_distances.tolist(), honest_uncles.tolist()):
+        if rate > 0.0:
+            distance_rates[distance] = distance_rates.get(distance, 0.0) + rate
+    return RevenueRates(
+        params=params,
+        split=RevenueSplit(
+            pool=PartyRewards(totals["pool_static"], totals["pool_uncle"], totals["pool_nephew"]),
+            honest=PartyRewards(totals["honest_static"], totals["honest_uncle"], totals["honest_nephew"]),
+        ),
+        regular_rate=totals["regular"],
+        uncle_rate=totals["uncle"],
+        pool_uncle_rate=totals["pool_uncle_blocks"],
+        honest_uncle_rate=totals["honest_uncle_blocks"],
+        honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
+        stale_rate=totals["stale"],
+    )
+
+
 class RevenueModel:
     """The analytical revenue engine for one reward schedule and truncation level.
 
@@ -130,20 +204,15 @@ class RevenueModel:
         by ``1.9e-6`` at ``alpha = 0.45``, ``1.6e-11`` at ``0.40`` and below
         ``1e-16`` at ``alpha <= 0.35``.  Pass 200 for the paper's tails; its solve
         takes about 25 ms.
-    solver_method:
-        ``"direct"`` (the default) solves the chain by its structure with
-        :meth:`~repro.markov.transitions.CompiledSelfishChain.stationary`;
-        ``"power"`` runs the generic power iteration of
-        :func:`repro.markov.stationary.stationary_distribution` as an independent
-        cross-check; ``"auto"`` is the structured solve with power iteration as
-        its fallback on :class:`~repro.errors.SolverError`.
 
     The transition structure of each truncation is compiled once per process
     (:func:`~repro.markov.transitions.compiled_selfish_chain`) and shared by every
     model.  A parameter point then costs one gather of the rates, the structured
-    stationary solve (a sweep and one dense ``(max_lead-2)``-square solve), one
-    pricing of each group with
-    :func:`~repro.analysis.reward_cases.transition_rewards` (67 at
+    stationary solve
+    (:meth:`~repro.markov.transitions.CompiledSelfishChain.stationary`: a sweep
+    and one dense ``(max_lead-2)``-square solve, which raises
+    :class:`~repro.errors.SolverError` if it fails), one pricing of each group
+    with :func:`~repro.analysis.reward_cases.transition_rewards` (67 at
     ``max_lead=60``) and a few dot products: about 1.3 ms at ``max_lead=60`` on
     one core of a 2-vCPU Xeon.  :meth:`revenue_rates` and :meth:`stationary` use
     the same solve.
@@ -157,38 +226,22 @@ class RevenueModel:
         schedule: RewardSchedule | None = None,
         *,
         max_lead: int = DEFAULT_MAX_LEAD,
-        solver_method: str = "direct",
     ) -> None:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
-        self.solver_method = solver_method
 
     def build_chain(self, params: MiningParams) -> MarkovChain[State]:
         """The truncated selfish-mining chain at ``params`` over this model's state space."""
         return compiled_selfish_chain(self.max_lead).chain(params)
 
-    def _solve(self, params: MiningParams) -> tuple[np.ndarray, str]:
-        """Stationary probabilities at ``params`` in state-space order, and the method used."""
-        compiled = compiled_selfish_chain(self.max_lead)
-        method = self.solver_method
-        if method in ("direct", "auto"):
-            try:
-                return compiled.stationary(params), "structured"
-            except SolverError:
-                if method == "direct":
-                    raise
-            method = "power"
-        result = stationary_distribution(compiled.chain(params), method=method)
-        return np.asarray(result.probabilities), result.method
-
     def stationary(self, params: MiningParams) -> StationaryResult:
         """Stationary distribution of the chain at ``params``, from the solve :meth:`revenue_rates` uses."""
         chain = self.build_chain(params)
-        probabilities, method = self._solve(params)
+        probabilities = compiled_selfish_chain(self.max_lead).stationary(params)
         return StationaryResult(
             chain=chain,
             probabilities=tuple(probabilities.tolist()),
-            method=method,
+            method="structured",
             residual=float(np.max(np.abs(probabilities @ chain.generator_matrix()))),
         )
 
@@ -207,7 +260,7 @@ class RevenueModel:
         """
         compiled = compiled_selfish_chain(self.max_lead)
         if stationary is None:
-            probabilities, _ = self._solve(params)
+            probabilities = compiled.stationary(params)
         elif stationary.chain.states != compiled.space.states:
             raise StateSpaceError(
                 f"stationary distribution over {len(stationary.chain)} states does not belong to "
@@ -215,36 +268,9 @@ class RevenueModel:
             )
         else:
             probabilities = np.asarray(stationary.probabilities)
-        # Long-run frequency of each transition, summed per pricing group, times
-        # each group's reward record: every rate is one dot product.
-        records = np.array(
-            [
-                transition_rewards(transition, params, self.schedule).component_vector()
-                for transition in compiled.representatives(params)
-            ]
-        )
         frequencies = probabilities[compiled.sources] * compiled.rates(params)
-        group_weights = np.bincount(compiled.groups, weights=frequencies, minlength=len(records))
-        totals = dict(zip(REWARD_COMPONENTS, (group_weights @ records).tolist()))
-        honest_uncles = group_weights * records[:, REWARD_COMPONENTS.index("honest_uncle_blocks")]
-        distance_rates: dict[int, float] = {}
-        for distance, rate in zip(compiled.group_distances.tolist(), honest_uncles.tolist()):
-            if rate > 0.0:
-                distance_rates[distance] = distance_rates.get(distance, 0.0) + rate
-
-        return RevenueRates(
-            params=params,
-            split=RevenueSplit(
-                pool=PartyRewards(totals["pool_static"], totals["pool_uncle"], totals["pool_nephew"]),
-                honest=PartyRewards(totals["honest_static"], totals["honest_uncle"], totals["honest_nephew"]),
-            ),
-            regular_rate=totals["regular"],
-            uncle_rate=totals["uncle"],
-            pool_uncle_rate=totals["pool_uncle_blocks"],
-            honest_uncle_rate=totals["honest_uncle_blocks"],
-            honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
-            stale_rate=totals["stale"],
-        )
+        records = GroupRecords(params, self.schedule).matrix(compiled)
+        return fold_revenue(params, frequencies, compiled.groups, records, compiled.group_distances)
 
     def relative_pool_revenue(self, params: MiningParams) -> float:
         """Convenience wrapper returning only the pool's relative revenue ``Rs``."""
@@ -252,10 +278,7 @@ class RevenueModel:
 
     def describe(self) -> str:
         """Short human-readable description of the engine configuration."""
-        return (
-            f"RevenueModel(schedule={type(self.schedule).__name__}, "
-            f"max_lead={self.max_lead}, solver={self.solver_method!r})"
-        )
+        return f"RevenueModel(schedule={type(self.schedule).__name__}, max_lead={self.max_lead})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()

@@ -10,18 +10,14 @@ reward designs can be evaluated the same way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, replace
 
 from ..analysis.absolute import Scenario
 from ..analysis.revenue import RevenueModel
 from ..analysis.threshold import ThresholdResult, profitable_threshold
 from ..rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule, RewardSchedule
-from ..utils.parallel import parallel_map
+from ..utils.resilient import DEFAULT_POLICY, RetryPolicy, resilient_map
 from ..utils.tables import Table
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..utils.resilient import RetryPolicy
 
 
 def _solve_threshold(task: tuple[float, RewardSchedule, Scenario, int]) -> ThresholdResult:
@@ -90,7 +86,7 @@ def run_discussion(
     max_lead: int = 40,
     max_workers: int | None = None,
     fast: bool = False,
-    resilience: "RetryPolicy | None" = None,
+    resilience: RetryPolicy | None = None,
 ) -> DiscussionResult:
     """Recompute the Section VI threshold comparison.
 
@@ -110,7 +106,10 @@ def run_discussion(
         (gamma, proposed_schedule, Scenario.REGULAR_ONLY, max_lead),
         (gamma, proposed_schedule, Scenario.REGULAR_PLUS_UNCLE, max_lead),
     ]
-    solved = parallel_map(_solve_threshold, tasks, max_workers, policy=resilience)
+    # Fail fast: a solve that exhausts its retries raises RetryExhaustedError
+    # and the driver returns nothing partial.
+    policy = replace(resilience or DEFAULT_POLICY, fail_fast=True)
+    solved = resilient_map(_solve_threshold, tasks, max_workers=max_workers, policy=policy)
     return DiscussionResult(
         gamma=gamma,
         current_scenario1=solved[0],

@@ -15,8 +15,8 @@ All three thresholds shrink as ``gamma`` grows and vanish at ``gamma = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..analysis.absolute import Scenario
 from ..analysis.bitcoin import bitcoin_threshold
@@ -24,11 +24,8 @@ from ..analysis.revenue import RevenueModel
 from ..analysis.threshold import ThresholdResult, profitable_threshold
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
 from ..utils.grids import inclusive_range
-from ..utils.parallel import parallel_map
+from ..utils.resilient import DEFAULT_POLICY, RetryPolicy, resilient_map
 from ..utils.tables import Table
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..utils.resilient import RetryPolicy
 
 
 def _solve_thresholds(
@@ -122,7 +119,7 @@ def run_figure10(
     max_lead: int = 40,
     max_workers: int | None = None,
     fast: bool = False,
-    resilience: "RetryPolicy | None" = None,
+    resilience: RetryPolicy | None = None,
 ) -> Figure10Result:
     """Reproduce Fig. 10 by solving for the threshold at every ``gamma``.
 
@@ -150,7 +147,10 @@ def run_figure10(
         max_lead = min(max_lead, 30)
 
     tasks = [(gamma, schedule, max_lead) for gamma in gammas]
-    solved = parallel_map(_solve_thresholds, tasks, max_workers, policy=resilience)
+    # Fail fast: a solve that exhausts its retries raises RetryExhaustedError
+    # and the driver returns nothing partial.
+    policy = replace(resilience or DEFAULT_POLICY, fail_fast=True)
+    solved = resilient_map(_solve_thresholds, tasks, max_workers=max_workers, policy=policy)
 
     points = [
         Figure10Point(

@@ -130,6 +130,11 @@ class MarkovChain(Generic[StateT]):
         return self._sources
 
     @property
+    def target_indices(self) -> np.ndarray:
+        """Dense index of each transition's target state, in transition order."""
+        return self._targets
+
+    @property
     def rates(self) -> np.ndarray:
         """Rate of each transition, in transition order."""
         return self._rates

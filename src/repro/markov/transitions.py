@@ -28,17 +28,22 @@ HONEST_ON_HONEST_LEAD_TWO       (i,j)   -> (0,0),   i-j==2,j>=1 beta*(1-g)  12
 
 Truncation: for states with ``Ls == max_lead`` the pool-extension transition (case 6)
 would leave the truncated space; it is redirected to a self-loop so that every state
-keeps a unit exit rate.  The redirected probability mass decays like
-``(alpha / beta) ** max_lead`` (the pool's lead is a biased random walk) and is
-negligible at the default truncations used by the analysis (the paper makes the same
-approximation, footnote 3).
+keeps a unit exit rate (the paper makes the same approximation, footnote 3).  The
+cap is on the private branch ``Ls``, not on the lead: at ``gamma = 0`` a race never
+shortens the pool's branch, so long races with a small lead pile up at the cap and
+the error does not decay like ``(alpha / beta) ** max_lead``.  Measured against the
+paper's 200, the default 60 moves the pool's share by ``1.5e-2`` at
+``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at ``(0.40, 0)`` and ``1.9e-6`` at
+``(0.45, 0.5)`` (see :class:`~repro.analysis.revenue.RevenueModel`; ROADMAP item 2
+removes the error by lumping the chain on the lead).
 
 The structure (targets and kinds) does not depend on ``(alpha, gamma)``; only the
 rates do, and :func:`case_rates` is the one place they are written.
-:func:`compiled_selfish_chain` compiles the structure once per truncation so the
-analysis re-rates it per parameter point instead of enumerating it again, and
-solves for the stationary distribution by the chain's structure
-(:meth:`CompiledSelfishChain.stationary`).
+:func:`compiled_selfish_chain` compiles the structure once per truncation; the
+revenue analysis, the optimal-strategy MDP (through :func:`overridden`, the pool's
+one alternative response) and the markov sampler all read it or
+:func:`successors` instead of enumerating transitions of their own.  The chain is
+solved by its structure (:meth:`CompiledSelfishChain.stationary`).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import numpy as np
 from ..errors import SolverError
 from ..params import MiningParams
 from .chain import MarkovChain, Transition
-from .state import State, StateSpace
+from .state import ZERO_STATE, State, StateSpace
 from .stationary import _clean_distribution
 
 
@@ -136,7 +141,42 @@ def uncle_distance(kind: TransitionKind, source: State) -> int | None:
     return None
 
 
-def _successors(state: State, max_lead: int) -> Iterator[tuple[State, TransitionKind]]:
+#: Cases 2, 3 and 6: the pool mines a block, the events its OVERRIDE response redirects.
+POOL_EVENTS = frozenset(
+    {
+        TransitionKind.POOL_HIDES_FIRST_BLOCK,
+        TransitionKind.POOL_BUILDS_LEAD_OF_TWO,
+        TransitionKind.POOL_EXTENDS_PRIVATE_LEAD,
+    }
+)
+
+
+def pricing_key(kind: TransitionKind, source: State) -> tuple[int, int]:
+    """``(case, uncle distance)`` of the reward record of a ``kind`` transition out of ``source``.
+
+    A transition's Appendix-B record depends on its case and uncle distance only,
+    and cases 7-10 (:data:`HONEST_AGAINST_LEAD`) share one record per distance, so
+    transitions with equal keys form one pricing group and share their record.
+    """
+    case = TransitionKind.HONEST_ON_PREFIX_LONG_LEAD.value if kind in HONEST_AGAINST_LEAD else kind.value
+    return case, uncle_distance(kind, source) or 0
+
+
+def overridden(target: State, kind: TransitionKind) -> tuple[State, TransitionKind]:
+    """The ``(target, kind)`` of a transition when the pool answers its own block with OVERRIDE.
+
+    The optimal-strategy MDP lets the pool publish its whole private branch as soon
+    as it mines a block: a pool event (case 2, 3 or 6) then wins the race and
+    returns the chain to ``(0, 0)``, and its block is a certain regular pool block,
+    case 6's record (Lemma 1).  At ``(0, 0)`` that is honest mining.  Honest
+    events, and the tie resolution of case 5, are unchanged.
+    """
+    if kind in POOL_EVENTS:
+        return ZERO_STATE, TransitionKind.POOL_EXTENDS_PRIVATE_LEAD
+    return target, kind
+
+
+def successors(state: State, max_lead: int) -> Iterator[tuple[State, TransitionKind]]:
     """The ``(target, kind)`` pair of every transition out of ``state``.
 
     The structure does not depend on ``(alpha, gamma)``; :func:`case_rates` prices it.
@@ -190,7 +230,7 @@ def _successors(state: State, max_lead: int) -> Iterator[tuple[State, Transition
 def transitions_from_state(state: State, params: MiningParams, *, max_lead: int) -> Iterator[SelfishTransition]:
     """Yield every outgoing transition of ``state`` under the paper's strategy at ``params``."""
     rates = case_rates(params)
-    for target, kind in _successors(state, max_lead):
+    for target, kind in successors(state, max_lead):
         yield SelfishTransition(state, target, rates[kind.value], kind)
 
 
@@ -235,40 +275,49 @@ class CompiledSelfishChain:
     """The truncated chain's transition structure, compiled once per ``max_lead``.
 
     Holds, per transition in :func:`selfish_mining_transitions` order, the source
-    state index, the Appendix-B case number and the uncle distance (0 where there
-    is none), and a template :class:`MarkovChain` with the targets and labels.
-    Only the rates depend on ``(alpha, gamma)``: :meth:`rates` gathers them from
-    :func:`case_rates` and :meth:`chain` fills them into the template, so a
-    parameter point costs a vector copy instead of an enumeration.
-    :meth:`stationary` solves the chain by its structure.  Get instances from
-    :func:`compiled_selfish_chain`, which caches one per truncation.
+    and target state indices and the Appendix-B case number, and a template
+    :class:`MarkovChain` with the targets and labels.  Only the rates depend on
+    ``(alpha, gamma)``: :meth:`rates` gathers them from :func:`case_rates` and
+    :meth:`chain` fills them into the template, so a parameter point costs a
+    vector copy instead of an enumeration.  :meth:`stationary` solves the chain by
+    its structure.  Get instances from :func:`compiled_selfish_chain`, which caches
+    one per truncation.
 
-    A transition's Appendix-B reward record depends on its case and uncle distance
-    only, and cases 7-10 (:data:`HONEST_AGAINST_LEAD`) share one record per
-    distance, so the transitions fall into pricing groups, about one per lead
-    length: ``groups[k]`` is the group of transition ``k`` and
+    The transitions fall into pricing groups (:func:`pricing_key`), about one per
+    lead length: ``groups[k]`` is the group of transition ``k``,
+    ``group_distances[g]`` the uncle distance of group ``g`` and
     :meth:`representatives` returns one transition per group.
+    ``override_targets`` and ``override_groups`` are the targets and groups of the
+    same transitions under the pool's OVERRIDE response (:func:`overridden`); the
+    rates do not change.
     """
 
     def __init__(self, max_lead: int) -> None:
         self.space = StateSpace(max_lead)
         max_lead = self.space.max_lead
-        structure = [(state, target, kind) for state in self.space for target, kind in _successors(state, max_lead)]
+        structure = [(state, target, kind) for state in self.space for target, kind in successors(state, max_lead)]
+        override = [overridden(target, kind) for _, target, kind in structure]
         self.cases = np.array([kind.value for _, _, kind in structure], dtype=np.intp)
-        self.uncle_distances = np.array(
-            [uncle_distance(kind, state) or 0 for state, _, kind in structure], dtype=np.intp
-        )
         self._template = MarkovChain(
             self.space.states,
             [Transition(state, target, 0.0, kind.name) for state, target, kind in structure],
         )
         self.sources = self._template.source_indices
-        against_lead = np.isin(self.cases, [kind.value for kind in HONEST_AGAINST_LEAD])
-        pricing_cases = np.where(against_lead, TransitionKind.HONEST_ON_PREFIX_LONG_LEAD.value, self.cases)
-        keys = pricing_cases * (max_lead + 1) + self.uncle_distances
-        _, heads, self.groups = np.unique(keys, return_index=True, return_inverse=True)
-        self.group_distances = self.uncle_distances[heads]
-        self._heads = [structure[head] for head in heads.tolist()]
+        self.targets = self._template.target_indices
+        self.override_targets = np.array([self.space.index_of(target) for target, _ in override], dtype=np.intp)
+        keys = [pricing_key(kind, state) for state, _, kind in structure]
+        heads: dict[tuple[int, int], int] = {}
+        for position, key in enumerate(keys):
+            heads.setdefault(key, position)
+        ordered = sorted(heads)
+        group_of = {key: group for group, key in enumerate(ordered)}
+        self.groups = np.array([group_of[key] for key in keys], dtype=np.intp)
+        self.override_groups = np.array(
+            [group_of[pricing_key(kind, state)] for (state, _, _), (_, kind) in zip(structure, override)],
+            dtype=np.intp,
+        )
+        self.group_distances = np.array([distance for _, distance in ordered], dtype=np.intp)
+        self._heads = [structure[heads[key]] for key in ordered]
         # Layout of the structured solve: the (i, 0) states for i = 0..max_lead,
         # and the j >= 1 states in sweep order (by j, then i).
         self._consensus_rows = np.array(
@@ -283,8 +332,9 @@ class CompiledSelfishChain:
         # Every caller shares the cached instance.
         for array in (
             self.cases,
-            self.uncle_distances,
+            self.override_targets,
             self.groups,
+            self.override_groups,
             self.group_distances,
             self._consensus_rows,
             self._swept_rows,

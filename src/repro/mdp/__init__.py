@@ -19,16 +19,22 @@ Map of the subsystem
     mining, and at the 1-vs-1 tie ``(1, 1)`` it is the only action (the forced
     tie-break win of case 5).  Honest-event responses stay pinned to Algorithm 1,
     which is exactly the regime in which the Appendix-B reward records are valid.
-    One-step rewards are those records (:mod:`repro.analysis.reward_cases`),
-    compiled — in the style of :mod:`repro.simulation.tables` — into one sparse
-    successor row plus expected pool/total reward per ``(state, decision)`` pair.
+    The model reads the compiled chain's structure
+    (:class:`~repro.markov.transitions.CompiledSelfishChain`, whose
+    ``override_targets``/``override_groups`` apply the one OVERRIDE rule,
+    :func:`~repro.markov.transitions.overridden`) and prices one-step rewards from
+    the pricing-group table (:class:`~repro.analysis.revenue.GroupRecords`) into
+    one sparse successor row plus expected pool/total reward per
+    ``(state, decision)`` pair.
 
 ``solver.py``
     The solve.  The objective is the pool's revenue *share*, a ratio of long-run
     averages, so a Dinkelbach loop wraps relative value iteration: each inner RVI
     maximises ``pool - rho * total`` and proposes a greedy policy, each outer step
     evaluates that policy exactly through the package's stationary solver and
-    raises ``rho`` to the evaluated share.  Policies are encoded for export as the
+    the fold that prices Algorithm 1
+    (:func:`~repro.analysis.revenue.fold_revenue`), and raises ``rho`` to the
+    evaluated share.  Policies are encoded for export as the
     tuple of state codes whose decision is ``OVERRIDE`` (``override_codes``) —
     the lookup table :class:`~repro.strategies.optimal.OptimalStrategy` consults:
     after mining a block at race view ``(Ls, Lh)`` the strategy decodes the
@@ -40,15 +46,16 @@ Consumers
 ---------
 
 * :class:`repro.strategies.optimal.OptimalStrategy` runs the table through the
-  chain engine, the compiled-table Monte Carlo (which walks the induced chain via
-  :func:`~repro.mdp.model.policy_transitions_from_state`) and the network backend;
+  chain engine, the compiled-table Monte Carlo (which walks the induced chain by
+  applying :func:`~repro.markov.transitions.overridden` at the table's states)
+  and the network backend;
 * :mod:`repro.experiments.optimal` charts the profitability frontier (optimal vs
   the hand-crafted catalogue) and dumps where the optimal policy diverges from
   Algorithm 1;
 * ``benchmarks/bench_mdp.py`` tracks solver cost per truncation level.
 """
 
-from .model import MdpAction, MdpModel, PoolDecision, policy_transitions_from_state
+from .model import MdpModel, PoolDecision
 from .solver import (
     DEFAULT_POLICY_MAX_LEAD,
     MdpSolver,
@@ -60,13 +67,11 @@ from .solver import (
 
 __all__ = [
     "DEFAULT_POLICY_MAX_LEAD",
-    "MdpAction",
     "MdpModel",
     "MdpSolver",
     "OptimalPolicyResult",
     "PolicyEvaluation",
     "PoolDecision",
     "clear_policy_cache",
-    "policy_transitions_from_state",
     "solve_optimal_policy",
 ]

@@ -34,37 +34,30 @@ use no such transition, so their values are exact — the property and integrati
 suites pin this against :class:`~repro.markov.chain.MarkovChain` and against
 Monte-Carlo runs of the extracted strategy.
 
-The compiled arrays mirror :mod:`repro.simulation.tables`: one flat row per
-``(state, decision)`` pair holding the sparse successor distribution and the
-expected one-step pool/total reward, so the solver's Bellman sweeps are plain
-sparse mat-vecs plus a segmented max.
+The model reads the structure of :class:`~repro.markov.transitions.CompiledSelfishChain`
+instead of enumerating transitions: the ``WITHHOLD`` row of a state is its row of
+the paper's chain, the ``OVERRIDE`` row the same transitions under
+:func:`~repro.markov.transitions.overridden`, and every one-step reward comes from
+the pricing-group table (:class:`~repro.analysis.revenue.GroupRecords`), so each
+Appendix-B record is priced once per group.  The arrays hold one flat row per
+``(state, decision)`` pair — the sparse successor distribution and the expected
+one-step pool/total reward — so the solver's Bellman sweeps are plain sparse
+mat-vecs plus a segmented max.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from ..analysis.reward_cases import TransitionRewards, transition_rewards
+from ..analysis.revenue import GroupRecords
 from ..errors import StateSpaceError
-from ..markov.state import State, StateSpace, ZERO_STATE
-from ..markov.transitions import SelfishTransition, TransitionKind, transitions_from_state
+from ..markov.state import State
+from ..markov.transitions import compiled_selfish_chain
 from ..params import MiningParams
 from ..rewards.schedule import RewardSchedule
-
-#: Transition kinds fired by the pool's own mining events (cases 2, 3 and 6).  The
-#: tie resolution (case 5) folds both parties into one transition and is therefore
-#: not a free decision point.
-POOL_EVENT_KINDS = frozenset(
-    {
-        TransitionKind.POOL_HIDES_FIRST_BLOCK,
-        TransitionKind.POOL_BUILDS_LEAD_OF_TWO,
-        TransitionKind.POOL_EXTENDS_PRIVATE_LEAD,
-    }
-)
 
 #: Integer code of the 1-vs-1 tie state ``(1, 1)`` (see ``State.encode``): the one
 #: state whose pool-event response is forced (winning the tie is case 5's
@@ -77,101 +70,6 @@ class PoolDecision(enum.Enum):
 
     WITHHOLD = "withhold"
     OVERRIDE = "override"
-
-
-def available_decisions(state: State) -> tuple[PoolDecision, ...]:
-    """The pool-event decisions available at ``state``.
-
-    Every state offers both decisions except the 1-vs-1 tie ``(1, 1)``, where the
-    pool's fresh block resolves the race (case 5) and only ``OVERRIDE`` keeps the
-    process inside the paper's state space.
-    """
-    if state == State(1, 1):
-        return (PoolDecision.OVERRIDE,)
-    return (PoolDecision.WITHHOLD, PoolDecision.OVERRIDE)
-
-
-def decision_transitions(
-    state: State,
-    params: MiningParams,
-    decision: PoolDecision,
-    *,
-    max_lead: int,
-) -> list[SelfishTransition]:
-    """Outgoing transitions of ``state`` when the pool-event response is ``decision``.
-
-    ``WITHHOLD`` reproduces the paper's chain verbatim.  ``OVERRIDE`` replaces the
-    pool-event transition with a jump to ``(0, 0)`` tagged
-    :attr:`~repro.markov.transitions.TransitionKind.POOL_EXTENDS_PRIVATE_LEAD`, whose
-    reward record is the Lemma-1 "certain regular pool block" — exactly what a
-    published-and-winning block earns.  Honest-event transitions are identical
-    under both decisions.
-    """
-    base = list(transitions_from_state(state, params, max_lead=max_lead))
-    if decision is PoolDecision.WITHHOLD:
-        if state == State(1, 1):
-            raise StateSpaceError(
-                f"state {state} has no withhold decision: the tie-breaking block "
-                "must be published to stay inside the truncated state space"
-            )
-        return base
-    if state == State(1, 1):
-        # The tie resolution already is the override: case 5 as enumerated.
-        return base
-    return [
-        SelfishTransition(state, ZERO_STATE, t.rate, TransitionKind.POOL_EXTENDS_PRIVATE_LEAD)
-        if t.kind in POOL_EVENT_KINDS
-        else t
-        for t in base
-    ]
-
-
-def policy_transitions_from_state(
-    state: State,
-    params: MiningParams,
-    override_codes: frozenset[int] | set[int],
-    *,
-    max_lead: int,
-) -> list[SelfishTransition]:
-    """Transition function of the chain induced by a decision table.
-
-    ``override_codes`` holds the :meth:`~repro.markov.state.State.encode` codes of
-    the states whose pool-event response is ``OVERRIDE``; every other state
-    withholds (the Algorithm-1 default, which is also the fallback of
-    :class:`~repro.strategies.optimal.OptimalStrategy` outside its table).  This is
-    the enumerator the compiled-table Monte Carlo backend walks when simulating an
-    optimal policy.
-    """
-    if state == State(1, 1):
-        decision = PoolDecision.OVERRIDE
-    elif state.encode() in override_codes:
-        decision = PoolDecision.OVERRIDE
-    else:
-        decision = PoolDecision.WITHHOLD
-    return decision_transitions(state, params, decision, max_lead=max_lead)
-
-
-@dataclass(frozen=True)
-class MdpAction:
-    """One ``(state, decision)`` pair with its transitions and reward records."""
-
-    state: State
-    decision: PoolDecision
-    transitions: tuple[SelfishTransition, ...]
-    records: tuple[TransitionRewards, ...]
-
-    @property
-    def expected_pool_reward(self) -> float:
-        """Expected pool reward of one step under this action."""
-        return sum(t.rate * r.pool.total for t, r in zip(self.transitions, self.records))
-
-    @property
-    def expected_total_reward(self) -> float:
-        """Expected system-wide reward of one step under this action."""
-        return sum(
-            t.rate * (r.pool.total + r.honest.total)
-            for t, r in zip(self.transitions, self.records)
-        )
 
 
 class MdpModel:
@@ -191,46 +89,52 @@ class MdpModel:
     def __init__(self, params: MiningParams, schedule: RewardSchedule, *, max_lead: int) -> None:
         self.params = params
         self.schedule = schedule
-        self.space = StateSpace(max_lead)
-        self._compile()
-
-    def _compile(self) -> None:
-        space = self.space
-        actions: list[MdpAction] = []
-        offsets = [0]
-        rows: list[int] = []
-        cols: list[int] = []
-        probabilities: list[float] = []
-        pool_rewards: list[float] = []
-        total_rewards: list[float] = []
-        for state in space:
-            for decision in available_decisions(state):
-                transitions = tuple(
-                    decision_transitions(state, self.params, decision, max_lead=space.max_lead)
-                )
-                records = tuple(
-                    transition_rewards(t, self.params, self.schedule) for t in transitions
-                )
-                action = MdpAction(
-                    state=state, decision=decision, transitions=transitions, records=records
-                )
-                flat_index = len(actions)
-                actions.append(action)
-                for transition in transitions:
-                    rows.append(flat_index)
-                    cols.append(space.index_of(transition.target))
-                    probabilities.append(transition.rate)
-                pool_rewards.append(action.expected_pool_reward)
-                total_rewards.append(action.expected_total_reward)
-            offsets.append(len(actions))
-        self.actions: tuple[MdpAction, ...] = tuple(actions)
+        compiled = compiled_selfish_chain(max_lead)
+        self.space = compiled.space
+        #: Reward vector of each pricing group, and its uncle distance.
+        self.records = GroupRecords(params, schedule).matrix(compiled)
+        self.group_distances = compiled.group_distances
+        # Every state offers WITHHOLD then OVERRIDE, except the tie (1, 1), whose
+        # one action is OVERRIDE: case 5, its only transition, already resolves it.
+        tie = self.space.index_of(State(1, 1))
+        choices = np.full(len(self.space), 2, dtype=np.int64)
+        choices[tie] = 1
         #: ``action_offsets[i]:action_offsets[i+1]`` are the flat actions of state i.
-        self.action_offsets = np.asarray(offsets, dtype=np.int64)
+        self.action_offsets = np.concatenate([[0], np.cumsum(choices)])
+        #: Whether each flat action is an OVERRIDE.
+        self.overrides = np.ones(self.action_offsets[-1], dtype=bool)
+        self.overrides[self.action_offsets[:-1][choices == 2]] = False
+        # One entry per (action, transition): every state's WITHHOLD copy of its
+        # transitions, then the OVERRIDE copy, each in the chain's order.
+        withheld = compiled.sources != tie
+        first = self.action_offsets[compiled.sources]
+        actions = np.concatenate([first[withheld], first + withheld])
+        order = np.argsort(actions, kind="stable")
+
+        def both(withhold: np.ndarray, override: np.ndarray) -> np.ndarray:
+            return np.concatenate([withhold[withheld], override])[order]
+
+        rates = compiled.rates(params)
+        #: Flat action, source and target state, rate and pricing group of every entry.
+        self.transition_actions = actions[order]
+        self.transition_sources = both(compiled.sources, compiled.sources)
+        self.transition_targets = both(compiled.targets, compiled.override_targets)
+        self.transition_rates = both(rates, rates)
+        self.transition_groups = both(compiled.groups, compiled.override_groups)
         self.transition_matrix = sparse.coo_matrix(
-            (probabilities, (rows, cols)), shape=(len(actions), len(space))
+            (self.transition_rates, (self.transition_actions, self.transition_targets)),
+            shape=(self.num_actions, len(self.space)),
         ).tocsr()
-        self.pool_rewards = np.asarray(pool_rewards, dtype=np.float64)
-        self.total_rewards = np.asarray(total_rewards, dtype=np.float64)
+        # Expected one-step rewards: each action's rate-weighted records, summed in
+        # transition order.  Record columns 0-2 are the pool's static, uncle and
+        # nephew rewards and 3-5 the honest miners' (REWARD_COMPONENTS).
+        pool = self.records[:, 0] + self.records[:, 1] + self.records[:, 2]
+        honest = self.records[:, 3] + self.records[:, 4] + self.records[:, 5]
+        first_entries = np.searchsorted(self.transition_actions, np.arange(self.num_actions))
+        self.pool_rewards = np.add.reduceat(self.transition_rates * pool[self.transition_groups], first_entries)
+        self.total_rewards = np.add.reduceat(
+            self.transition_rates * (pool + honest)[self.transition_groups], first_entries
+        )
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -241,37 +145,27 @@ class MdpModel:
     @property
     def num_actions(self) -> int:
         """Number of flat ``(state, decision)`` pairs."""
-        return len(self.actions)
+        return int(self.action_offsets[-1])
 
-    def actions_of(self, state: State) -> tuple[MdpAction, ...]:
-        """All actions available at ``state``."""
-        index = self.space.index_of(state)
-        start, stop = self.action_offsets[index], self.action_offsets[index + 1]
-        return self.actions[start:stop]
+    def decision(self, flat: int) -> PoolDecision:
+        """The decision of flat action ``flat``."""
+        return PoolDecision.OVERRIDE if self.overrides[flat] else PoolDecision.WITHHOLD
 
     def flat_index(self, state_index: int, decision: PoolDecision) -> int:
         """Flat action index of ``decision`` at the state with dense ``state_index``."""
         start, stop = self.action_offsets[state_index], self.action_offsets[state_index + 1]
         for flat in range(start, stop):
-            if self.actions[flat].decision is decision:
+            if self.decision(flat) is decision:
                 return int(flat)
         state = self.space.state_at(state_index)
         raise StateSpaceError(f"state {state} offers no {decision.value!r} decision")
 
     def selfish_policy(self) -> np.ndarray:
-        """Flat action indices of Algorithm 1 (withhold everywhere it is allowed)."""
-        return np.asarray(
-            [
-                self.flat_index(
-                    index,
-                    PoolDecision.OVERRIDE
-                    if self.space.state_at(index) == State(1, 1)
-                    else PoolDecision.WITHHOLD,
-                )
-                for index in range(self.num_states)
-            ],
-            dtype=np.int64,
-        )
+        """Flat action indices of Algorithm 1: each state's first action.
+
+        That is WITHHOLD everywhere it is allowed, and the forced OVERRIDE at the tie.
+        """
+        return self.action_offsets[:-1].copy()
 
     def honest_policy(self) -> np.ndarray:
         """Flat action indices of protocol-following mining (override everywhere).
@@ -279,10 +173,7 @@ class MdpModel:
         Only the ``(0, 0)`` entry is ever reached — an overriding pool never builds
         a lead — but the table is total so the induced chain is well defined.
         """
-        return np.asarray(
-            [self.flat_index(index, PoolDecision.OVERRIDE) for index in range(self.num_states)],
-            dtype=np.int64,
-        )
+        return self.action_offsets[1:] - 1
 
     def describe(self) -> str:
         """Short human-readable summary of the compiled model."""

@@ -11,11 +11,12 @@ averages — so the solve is the classic two-level scheme for ratio objectives
    policy of the converged values is the improving policy.
 2. **Outer level** (:meth:`MdpSolver.solve`): evaluate the improving policy
    *exactly* — build the induced :class:`~repro.markov.chain.MarkovChain`, solve
-   its stationary distribution with the package's sparse solver, and accumulate
-   the Appendix-B reward records into :class:`~repro.analysis.revenue.RevenueRates`
-   (the same arithmetic :class:`~repro.analysis.revenue.RevenueModel` performs for
-   Algorithm 1, so a policy pinned to the selfish decisions reproduces the paper's
-   revenue to solver precision).  The evaluated share becomes the next ``rho``.
+   its stationary distribution with the package's sparse solver, and fold the
+   transition frequencies into :class:`~repro.analysis.revenue.RevenueRates` with
+   :func:`~repro.analysis.revenue.fold_revenue`, the fold
+   :class:`~repro.analysis.revenue.RevenueModel` uses for Algorithm 1, so a policy
+   pinned to the selfish decisions reproduces the paper's revenue to solver
+   precision.  The evaluated share becomes the next ``rho``.
 
 The share sequence is non-decreasing and strictly increases until the optimal
 policy is found (policy-improvement monotonicity — pinned by the property suite),
@@ -33,9 +34,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.revenue import RevenueRates
+from ..analysis.revenue import RevenueRates, fold_revenue
 from ..errors import ConvergenceError, ParameterError
-from ..markov.chain import MarkovChain
+from ..markov.chain import MarkovChain, Transition
 from ..markov.state import State
 from ..markov.stationary import stationary_distribution
 from ..params import MiningParams
@@ -47,9 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from ..strategies.optimal import OptimalStrategy
 
 #: Default truncation of the solved policy's state space.  Matches the analytical
-#: :class:`~repro.analysis.revenue.RevenueModel` default; the truncation error of
-#: the extracted policy's value decays like ``(alpha / beta) ** max_lead``.
+#: :class:`~repro.analysis.revenue.RevenueModel` default, and shares its error: the
+#: cap is on the private branch, not on the lead, so at ``gamma = 0`` long races
+#: pile up at it.  For Algorithm 1 the share at 60 is off from its value at the
+#: paper's 200 by ``1.5e-2`` at ``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at
+#: ``(0.40, 0)`` and ``1.9e-6`` at ``(0.45, 0.5)`` (ROADMAP item 2).
 DEFAULT_POLICY_MAX_LEAD = 60
+
+#: Version of the solve behind a stored policy, part of its store key: bump it
+#: whenever a solve's stored fields can change, so entries written by older code
+#: are never served.  2: policy values are folded per pricing group.
+POLICY_VERSION = 2
 
 #: Default span tolerance of the relative-value-iteration sweeps.
 DEFAULT_RVI_TOLERANCE = 1e-10
@@ -181,65 +190,33 @@ class MdpSolver:
         """Exact long-run rates of ``policy`` (flat action index per state).
 
         Builds the induced Markov chain, solves its stationary distribution with
-        the package's sparse direct solver, and accumulates the per-transition
-        Appendix-B records, so the selfish-pinned policy reproduces
-        :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` (which sums the
-        same records per pricing group) to round-off.
+        the package's sparse direct solver, and folds the transition frequencies
+        with :func:`~repro.analysis.revenue.fold_revenue`, so the selfish-pinned
+        policy reproduces :meth:`repro.analysis.revenue.RevenueModel.revenue_rates`
+        to round-off.
         """
         model = self.model
-        chosen = [model.actions[int(flat)] for flat in policy]
+        chosen = np.zeros(model.num_actions, dtype=bool)
+        chosen[policy] = True
+        taken = chosen[model.transition_actions]
+        sources = model.transition_sources[taken]
+        rates = model.transition_rates[taken]
+        states = model.space.states
         chain = MarkovChain(
-            model.space.states,
-            [t.as_transition() for action in chosen for t in action.transitions],
+            states,
+            [
+                Transition(states[source], states[target], rate)
+                for source, target, rate in zip(
+                    sources.tolist(), model.transition_targets[taken].tolist(), rates.tolist()
+                )
+            ],
         )
         stationary = stationary_distribution(chain, method="direct")
-        probabilities = stationary.probabilities
-
-        pool = PartyRewards()
-        honest = PartyRewards()
-        regular_rate = 0.0
-        uncle_rate = 0.0
-        pool_uncle_rate = 0.0
-        honest_uncle_rate = 0.0
-        stale_rate = 0.0
-        distance_rates: dict[int, float] = {}
-        for state_index, action in enumerate(chosen):
-            occupancy = probabilities[state_index]
-            if occupancy == 0.0:
-                continue
-            for transition, record in zip(action.transitions, action.records):
-                weight = occupancy * transition.rate
-                if weight == 0.0:
-                    continue
-                pool = pool + record.pool.scaled(weight)
-                honest = honest + record.honest.scaled(weight)
-                regular_rate += weight * record.regular_probability
-                uncle_rate += weight * record.uncle_probability
-                stale_rate += weight * record.stale_probability
-                pool_uncle_rate += weight * record.uncle_probability * record.pool_mined_probability
-                honest_mined = 1.0 - record.pool_mined_probability
-                honest_uncle_rate += weight * record.uncle_probability * honest_mined
-                if (
-                    record.uncle_distance is not None
-                    and record.uncle_probability > 0.0
-                    and honest_mined > 0.0
-                ):
-                    distance = record.uncle_distance
-                    distance_rates[distance] = distance_rates.get(distance, 0.0) + (
-                        weight * record.uncle_probability * honest_mined
-                    )
-
-        rates = RevenueRates(
-            params=self.params,
-            split=RevenueSplit(pool=pool, honest=honest),
-            regular_rate=regular_rate,
-            uncle_rate=uncle_rate,
-            pool_uncle_rate=pool_uncle_rate,
-            honest_uncle_rate=honest_uncle_rate,
-            honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
-            stale_rate=stale_rate,
+        frequencies = np.asarray(stationary.probabilities)[sources] * rates
+        revenue = fold_revenue(
+            self.params, frequencies, model.transition_groups[taken], model.records, model.group_distances
         )
-        return PolicyEvaluation(rates=rates, residual=stationary.residual)
+        return PolicyEvaluation(rates=revenue, residual=stationary.residual)
 
     def evaluate_decisions(self, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:
         """Evaluate a policy given as a (possibly partial) ``state -> decision`` map.
@@ -339,7 +316,7 @@ class MdpSolver:
                 f"policy improvement did not stabilise within {max_improvements} "
                 f"rounds ({model.describe()}); last shares {shares[-3:]}"
             )
-        decisions = tuple(model.actions[int(flat)].decision for flat in policy)
+        decisions = tuple(model.decision(flat) for flat in policy)
         override_codes = tuple(
             model.space.state_at(index).encode()
             for index, decision in enumerate(decisions)
@@ -401,6 +378,7 @@ def _policy_store_key(params: MiningParams, schedule: RewardSchedule, max_lead: 
 
     return hash_payload(
         {
+            "version": POLICY_VERSION,
             "alpha": params.alpha,
             "gamma": params.gamma,
             "max_lead": int(max_lead),

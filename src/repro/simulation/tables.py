@@ -1,29 +1,29 @@
 """Compiled transition tables for the Markov Monte Carlo backend.
 
-The scalar :class:`~repro.simulation.fast.MarkovMonteCarlo` loop re-derives the full
-Appendix-B reward record and performs about a dozen floating-point accumulations on
-*every* sampled event, even though a 100 000-block run only ever visits a few dozen
-distinct states and transitions.  This module moves all of that per-event work to
-compile time:
+A Monte Carlo run over the selfish-mining chain only ever visits a few dozen
+distinct states and transitions, so all per-event work moves to compile time:
 
 * every visited :class:`~repro.markov.state.State` is integer-encoded
   (:meth:`State.encode`) and compiled — once — into a *state row*: the running
-  cumulative probabilities of its outgoing transitions (in enumeration order, summed
-  exactly as the scalar sampler sums them) plus direct references to the successor
-  rows;
+  cumulative probabilities of its outgoing transitions (in
+  :func:`~repro.markov.transitions.successors` order, summed one rate at a time)
+  plus direct references to the successor rows;
 * every distinct transition gets one global index and one row of a numpy *reward
-  matrix* holding its :data:`~repro.analysis.reward_cases.REWARD_COMPONENTS` vector
-  — each :class:`~repro.analysis.reward_cases.TransitionRewards` component is
-  computed once per transition instead of once per event;
+  matrix* holding its :data:`~repro.analysis.reward_cases.REWARD_COMPONENTS`
+  vector, read from the pricing-group table
+  (:class:`~repro.analysis.revenue.GroupRecords`), so each Appendix-B record is
+  priced once per group;
 * the chain walk then only compares a buffered uniform draw against the cumulative
   thresholds and increments an integer visit count, and a whole run is settled at
   the end as a single ``counts @ reward_matrix`` product.
 
-Because the thresholds are the scalar sampler's partial sums and the uniforms come
-from the same :class:`~repro.simulation.rng.RandomSource` stream, the sampled
-transition sequence for a given seed is *identical* to the scalar backend's; only
+The thresholds are the partial sums a one-draw-per-event sampler compares
+against, so the sampled transition sequence for a given seed is the same as that
+of the per-event scalar loop the test-suite keeps as this module's oracle; only
 the reward totals are reassociated (count-times-value instead of repeated
-addition), which the regression tests bound at 1e-9 relative error.
+addition).  A decision table of the optimal-strategy MDP (``override_codes``)
+makes the tables walk the chain that policy induces: the states it lists answer
+their pool events with :func:`~repro.markov.transitions.overridden`.
 
 States are compiled lazily as the walk first reaches them, so no truncation level
 has to be chosen up front and compilation cost is proportional to the handful of
@@ -33,13 +33,13 @@ states a run actually visits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..analysis.reward_cases import REWARD_COMPONENTS, transition_rewards
+from ..analysis.revenue import GroupRecords
+from ..analysis.reward_cases import REWARD_COMPONENTS
 from ..markov.state import State, decode_state
-from ..markov.transitions import SelfishTransition, transitions_from_state
+from ..markov.transitions import SelfishTransition, case_rates, overridden, successors, uncle_distance
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards
 from ..rewards.schedule import RewardSchedule
@@ -83,13 +83,10 @@ class CompiledTransitionTables:
     max_lead:
         Truncation forwarded to the transition enumeration (the Monte Carlo
         backends use an effectively unbounded value).
-    transitions:
-        Optional replacement transition enumerator (``state -> transitions``).
-        Defaults to the paper's Algorithm-1 chain
-        (:func:`~repro.markov.transitions.transitions_from_state`); the optimal
-        strategy passes the chain induced by its solved policy
-        (:func:`~repro.mdp.model.policy_transitions_from_state`) so the same walk
-        and settlement machinery simulates any withhold/override decision table.
+    override_codes:
+        :meth:`~repro.markov.state.State.encode` codes of the states that answer
+        the pool's own block with OVERRIDE, a solved decision table of
+        :mod:`repro.mdp`.  Empty (the default) walks the paper's Algorithm-1 chain.
     """
 
     def __init__(
@@ -98,17 +95,19 @@ class CompiledTransitionTables:
         schedule: RewardSchedule,
         *,
         max_lead: int,
-        transitions: Callable[[State], list[SelfishTransition]] | None = None,
+        override_codes: frozenset[int] = frozenset(),
     ) -> None:
         self.params = params
         self.schedule = schedule
         self.max_lead = max_lead
-        self._transition_fn = transitions
+        self.override_codes = override_codes
+        self.records = GroupRecords(params, schedule)
+        self._rates = case_rates(params)
         self._rows: dict[int, list] = {}
         self._transitions: list[SelfishTransition] = []
         self._component_rows: list[tuple[float, ...]] = []
-        # Per-transition uncle-distance contributions: (pool_mined, distance, value).
-        self._distance_rows: list[list[tuple[bool, int, float]]] = []
+        # Uncle distance of each transition's block (0 where it has none).
+        self._distances: list[int] = []
 
     # ------------------------------------------------------------------ compilation
     @property
@@ -137,31 +136,21 @@ class CompiledTransitionTables:
 
     def _compile(self, code: int) -> list:
         state = decode_state(code)
-        if self._transition_fn is None:
-            transitions = list(transitions_from_state(state, self.params, max_lead=self.max_lead))
-        else:
-            transitions = list(self._transition_fn(state))
+        pairs = successors(state, self.max_lead)
+        if code in self.override_codes:
+            pairs = (overridden(target, kind) for target, kind in pairs)
+        transitions = [SelfishTransition(state, target, self._rates[kind.value], kind) for target, kind in pairs]
         thresholds: list[float] = []
         cumulative = 0.0
         for transition in transitions:
-            # The exact partial sums the scalar sampler compares against, so both
-            # backends map any uniform draw to the same transition.
+            # Partial sums one rate at a time: the thresholds a per-event sampler
+            # compares each uniform draw against.
             cumulative += transition.rate
             thresholds.append(cumulative)
         base = len(self._transitions)
         for transition in transitions:
-            record = transition_rewards(transition, self.params, self.schedule)
-            self._component_rows.append(record.component_vector())
-            contributions: list[tuple[bool, int, float]] = []
-            distance = record.uncle_distance
-            uncle = record.uncle_probability
-            pool_mined = record.pool_mined_probability
-            if distance is not None and uncle > 0.0:
-                if pool_mined < 1.0:
-                    contributions.append((False, distance, uncle * (1.0 - pool_mined)))
-                if pool_mined > 0.0:
-                    contributions.append((True, distance, uncle * pool_mined))
-            self._distance_rows.append(contributions)
+            self._component_rows.append(self.records.vector(transition))
+            self._distances.append(uncle_distance(transition.kind, state) or 0)
         self._transitions.extend(transitions)
         row = [
             tuple(thresholds),
@@ -222,18 +211,21 @@ class CompiledTransitionTables:
         return np.asarray(self._component_rows, dtype=np.float64)
 
     def settle(self, counts: list[int]) -> TableSettlement:
-        """Fold per-transition visit counts into run totals (``counts @ matrix``)."""
+        """Fold per-transition visit counts into run totals (``counts @ matrix``).
+
+        The uncle-distance histograms add ``count * value`` per transition in
+        transition order, one bin per distance.
+        """
         count_vector = np.asarray(counts, dtype=np.float64)
-        totals = count_vector @ self.reward_matrix()
+        matrix = self.reward_matrix()
+        totals = count_vector @ matrix
         by_name = dict(zip(REWARD_COMPONENTS, totals.tolist()))
-        honest_distance: dict[int, float] = {}
-        pool_distance: dict[int, float] = {}
-        for count, contributions in zip(counts, self._distance_rows):
-            if not count:
-                continue
-            for pool_mined, distance, value in contributions:
-                target = pool_distance if pool_mined else honest_distance
-                target[distance] = target.get(distance, 0.0) + count * value
+
+        def histogram(component: str) -> dict[int, float]:
+            weights = count_vector * matrix[:, REWARD_COMPONENTS.index(component)]
+            bins = np.bincount(np.asarray(self._distances, dtype=np.intp), weights=weights)
+            return {distance: value for distance, value in enumerate(bins.tolist()) if value > 0.0}
+
         return TableSettlement(
             pool=PartyRewards(
                 static=by_name["pool_static"],
@@ -252,8 +244,8 @@ class CompiledTransitionTables:
             pool_uncle_blocks=by_name["pool_uncle_blocks"],
             honest_uncle_blocks=by_name["honest_uncle_blocks"],
             stale_blocks=by_name["stale"],
-            honest_uncle_distance_counts=dict(sorted(honest_distance.items())),
-            pool_uncle_distance_counts=dict(sorted(pool_distance.items())),
+            honest_uncle_distance_counts=histogram("honest_uncle_blocks"),
+            pool_uncle_distance_counts=histogram("pool_uncle_blocks"),
         )
 
     def describe(self) -> str:

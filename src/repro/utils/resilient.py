@@ -4,8 +4,8 @@
 *wholesale*: one OOM-killed or segfaulted worker raises ``BrokenProcessPool``
 for the entire batch, a hung task blocks forever, and nothing is retried.
 :func:`resilient_map` is the submit-based dispatcher underneath every fan-out
-in the package (:func:`repro.simulation.runner.execute_runs` and
-:func:`repro.utils.parallel.parallel_map`):
+in the package (:func:`repro.simulation.runner.execute_runs` and the threshold
+solves of the ``figure10`` and ``discussion`` drivers):
 
 * every task is tracked individually — a worker death (detected the moment the
   worker's pipe closes) or a wall-clock timeout (the worker is killed) costs

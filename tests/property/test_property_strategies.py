@@ -11,7 +11,6 @@ integration suite; here the focus is on universally quantified safety properties
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -119,25 +118,3 @@ def test_decisions_are_total_and_deterministic(view, name):
         action = method(view)
         assert isinstance(action, Action)
         assert method(view) is action
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    alpha=st.floats(min_value=0.05, max_value=0.45),
-    gamma=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_selfish_matches_deprecated_flag_spelling(alpha, gamma, seed):
-    """``strategy="selfish"`` and the legacy ``selfish=True`` are the same run (which warns)."""
-    params = MiningParams(alpha=alpha, gamma=gamma)
-    with pytest.warns(DeprecationWarning, match="'selfish' flag"):
-        legacy_config = SimulationConfig(params=params, num_blocks=150, seed=seed, selfish=True)
-    legacy = ChainSimulator(legacy_config).run()
-    explicit = ChainSimulator(
-        SimulationConfig(params=params, num_blocks=150, seed=seed, strategy="selfish")
-    ).run()
-    assert legacy.pool_rewards == explicit.pool_rewards
-    assert legacy.honest_rewards == explicit.honest_rewards
-    assert legacy.regular_blocks == explicit.regular_blocks
-    assert legacy.uncle_blocks == explicit.uncle_blocks
-    assert legacy.stale_blocks == explicit.stale_blocks

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, RetryExhaustedError
 from repro.experiments.discussion import run_discussion
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.figure9 import figure9_schedules, run_figure9
@@ -13,6 +13,8 @@ from repro.experiments.network import run_network
 from repro.experiments.optimal import run_optimal
 from repro.experiments.strategies import run_strategy_comparison
 from repro.experiments.table2 import run_table2
+from repro.testing import FaultSpec, inject_faults
+from repro.utils.resilient import RetryPolicy
 
 
 class TestOptimalFrontierDriver:
@@ -268,6 +270,15 @@ class TestFigure10Workers:
         for first, second in zip(serial.points, parallel.points):
             assert first.ethereum_scenario1.alpha_star == second.ethereum_scenario1.alpha_star
             assert first.ethereum_scenario2.alpha_star == second.ethereum_scenario2.alpha_star
+
+    def test_persistent_solve_fault_raises_instead_of_a_partial_figure(self):
+        # The second gamma's solve fails on every attempt its retry budget allows.
+        plan = tuple(FaultSpec(kind="raise", task=1, attempt=attempt) for attempt in range(2))
+        with inject_faults(plan):
+            with pytest.raises(RetryExhaustedError, match="task 1 failed after 2 attempt"):
+                run_figure10(
+                    gammas=[0.2, 0.5, 0.8], max_lead=12, resilience=RetryPolicy(retries=1, backoff_base=0.0)
+                )
 
 
 class TestNetworkDriver:

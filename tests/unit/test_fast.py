@@ -9,7 +9,10 @@ from repro.markov.state import State
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule
 from repro.simulation.config import SimulationConfig
+from repro.mdp.solver import solve_optimal_policy
 from repro.simulation.fast import MarkovMonteCarlo
+
+from markov_oracle import scalar_markov_run
 
 
 def config(alpha=0.3, gamma=0.5, blocks=30_000, seed=1, schedule=None) -> SimulationConfig:
@@ -46,24 +49,12 @@ class TestBasics:
         # Only a modest number of distinct states should ever be visited/compiled.
         assert 1 < simulator.tables.num_states < 200
 
-    def test_transition_cache_reused_by_scalar_path(self):
-        simulator = MarkovMonteCarlo(config(blocks=5_000), accumulate="scalar")
-        simulator.run()
-        # Only a modest number of distinct states should ever be visited.
-        assert 1 < len(simulator._transition_cache) < 200
 
-    def test_unknown_accumulate_mode_rejected(self):
-        from repro.errors import SimulationError
+class TestScalarOracleAgrees:
+    """The compiled-table walk against the per-event scalar loop (``markov_oracle``).
 
-        with pytest.raises(SimulationError):
-            MarkovMonteCarlo(config(), accumulate="vector")
-
-
-class TestAccumulateModesAgree:
-    """PR 2 regression contract: the compiled-table walk is a drop-in replacement.
-
-    For a given seed the table mode must sample the *identical* transition sequence
-    as the scalar per-event loop, and every accumulated total must agree to float
+    For a given seed the walk must sample the *identical* transition sequence as
+    the scalar loop, and every accumulated total must agree to float
     reassociation accuracy (count-times-value versus repeated addition).
     """
 
@@ -79,15 +70,15 @@ class TestAccumulateModesAgree:
         cfg = config(alpha=alpha, gamma=gamma, schedule=schedule, blocks=20_000, seed=seed)
         table_trace: list[int] = []
         scalar_trace: list[int] = []
-        MarkovMonteCarlo(cfg, accumulate="table").run(trace=table_trace)
-        MarkovMonteCarlo(cfg, accumulate="scalar").run(trace=scalar_trace)
+        MarkovMonteCarlo(cfg).run(trace=table_trace)
+        scalar_markov_run(cfg, trace=scalar_trace)
         assert table_trace == scalar_trace
 
     @pytest.mark.parametrize("alpha,gamma,schedule,seed", CASES)
     def test_aggregates_agree_to_reassociation_tolerance(self, alpha, gamma, schedule, seed):
         cfg = config(alpha=alpha, gamma=gamma, schedule=schedule, blocks=20_000, seed=seed)
-        table = MarkovMonteCarlo(cfg, accumulate="table").run()
-        scalar = MarkovMonteCarlo(cfg, accumulate="scalar").run()
+        table = MarkovMonteCarlo(cfg).run()
+        scalar, _ = scalar_markov_run(cfg)
         assert table.pool_rewards.isclose(scalar.pool_rewards, rel_tol=1e-9)
         assert table.honest_rewards.isclose(scalar.honest_rewards, rel_tol=1e-9)
         for name in (
@@ -110,22 +101,34 @@ class TestAccumulateModesAgree:
             for distance, value in table_counts.items():
                 assert value == pytest.approx(scalar_counts[distance], rel=1e-9, abs=1e-9)
 
-    def test_honest_strategy_modes_agree_exactly(self):
+    @pytest.mark.parametrize("alpha,gamma,seed", [(0.10, 0.5, 2), (0.40, 0.5, 4)])
+    def test_optimal_strategy_walks_the_policy_chain(self, alpha, gamma, seed):
+        # Below the threshold the solved policy overrides at (0, 0): honest mining.
+        cfg = config(alpha=alpha, gamma=gamma, blocks=10_000, seed=seed).with_strategy("optimal")
+        codes = frozenset(solve_optimal_policy(cfg.params, cfg.schedule).override_codes)
+        table_trace: list[int] = []
+        scalar_trace: list[int] = []
+        table = MarkovMonteCarlo(cfg).run(trace=table_trace)
+        scalar, _ = scalar_markov_run(cfg, override_codes=codes, trace=scalar_trace)
+        assert table_trace == scalar_trace
+        assert table.pool_rewards.isclose(scalar.pool_rewards, rel_tol=1e-9)
+        assert table.stale_blocks == pytest.approx(scalar.stale_blocks, rel=1e-9, abs=1e-9)
+
+    def test_honest_strategy_agrees_exactly(self):
         cfg = config(blocks=30_000, seed=5).with_strategy("honest")
-        table = MarkovMonteCarlo(cfg, accumulate="table").run()
-        scalar = MarkovMonteCarlo(cfg, accumulate="scalar").run()
+        table = MarkovMonteCarlo(cfg).run()
+        scalar, _ = scalar_markov_run(cfg)
         # Block attribution is integer counting over the identical draw stream.
         assert table.pool_regular_blocks == scalar.pool_regular_blocks
         assert table.pool_rewards == scalar.pool_rewards
 
-    def test_final_state_matches_scalar_path(self):
+    def test_final_state_matches_scalar_oracle(self):
         cfg = config(blocks=10_000, seed=13)
-        table_sim = MarkovMonteCarlo(cfg, accumulate="table")
-        scalar_sim = MarkovMonteCarlo(cfg, accumulate="scalar")
+        table_sim = MarkovMonteCarlo(cfg)
         table_sim.run()
-        scalar_sim.run()
-        assert table_sim.state == scalar_sim.state
-        assert table_sim._events_run == scalar_sim._events_run == 10_000
+        _, final_state = scalar_markov_run(cfg)
+        assert table_sim.state == final_state
+        assert table_sim._events_run == 10_000
 
 
 class TestStatisticalAgreement:

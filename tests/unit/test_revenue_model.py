@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.revenue import RevenueModel
 from repro.errors import SolverError
+from repro.markov.stationary import stationary_distribution
 from repro.markov.transitions import CompiledSelfishChain
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
@@ -135,29 +136,27 @@ class TestTruncationAndReuse:
         paper = RevenueModel(max_lead=200).revenue_rates(params).relative_pool_revenue
         assert abs(default - paper) <= bound
 
-    def test_solver_methods_agree(self):
+    def test_power_iteration_cross_checks_the_structured_solve(self):
         params = MiningParams(alpha=0.3, gamma=0.5)
-        methods = {}
-        for method in ("direct", "auto", "power"):
-            model = RevenueModel(max_lead=10, solver_method=method)
-            methods[method] = model.stationary(params).method
-            assert model.relative_pool_revenue(params) == pytest.approx(
-                RevenueModel(max_lead=10).relative_pool_revenue(params), rel=1e-9
-            )
-        assert methods["direct"] == methods["auto"] == "structured"
-        assert methods["power"].startswith("power_iteration")
-        with pytest.raises(SolverError, match="unknown stationary solver method"):
-            RevenueModel(max_lead=10, solver_method="bogus").revenue_rates(params)
+        model = RevenueModel(max_lead=10)
+        power = stationary_distribution(model.build_chain(params), method="power")
+        assert power.method.startswith("power_iteration")
+        assert model.stationary(params).method == "structured"
+        assert power.probabilities == pytest.approx(model.stationary(params).probabilities, abs=1e-10)
+        assert model.revenue_rates(params, stationary=power).relative_pool_revenue == pytest.approx(
+            model.relative_pool_revenue(params), rel=1e-9
+        )
 
-    def test_auto_falls_back_to_power_iteration(self, monkeypatch):
+    def test_failed_structured_solve_raises(self, monkeypatch):
         def fail(self, params):
             raise SolverError("injected")
 
         monkeypatch.setattr(CompiledSelfishChain, "stationary", fail)
         params = MiningParams(alpha=0.3, gamma=0.5)
-        assert RevenueModel(max_lead=10, solver_method="auto").stationary(params).method.startswith("power")
         with pytest.raises(SolverError, match="injected"):
             RevenueModel(max_lead=10).revenue_rates(params)
+        with pytest.raises(SolverError, match="injected"):
+            RevenueModel(max_lead=10).stationary(params)
 
     def test_precomputed_stationary_can_be_reused(self, ethereum_model):
         params = MiningParams(alpha=0.3, gamma=0.5)

@@ -126,7 +126,6 @@ class TestSweepAndHelpers:
 
     def test_honest_baseline_config_switches_strategy_only(self):
         baseline = honest_baseline_config(CONFIG)
-        assert baseline.selfish is None
         assert baseline.strategy_name == "honest"
         assert baseline.params == CONFIG.params
         assert baseline.num_blocks == CONFIG.num_blocks

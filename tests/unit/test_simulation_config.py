@@ -19,8 +19,7 @@ class TestDefaults:
         config = SimulationConfig(params=PARAMS)
         assert config.num_blocks == 100_000
         assert config.num_honest_miners == 999
-        assert config.selfish is None
-        assert config.strategy_name == "selfish"
+        assert config.strategy == config.strategy_name == "selfish"
         assert config.max_uncles_per_block == 2
         assert config.max_uncle_distance == 6
         assert isinstance(config.schedule, EthereumByzantiumSchedule)
@@ -55,40 +54,17 @@ class TestValidation:
             SimulationConfig(params=PARAMS, warmup_blocks=-1)
 
 
-class TestDeprecatedSelfishFlag:
-    def test_setting_the_flag_emits_a_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
+class TestRemovedSelfishFlag:
+    def test_selfish_keyword_is_rejected(self):
+        # The alias deprecated since the strategy registry landed is gone.
+        with pytest.raises(TypeError, match="selfish"):
             SimulationConfig(params=PARAMS, selfish=True)
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
-            SimulationConfig(params=PARAMS, selfish=False)
 
-    def test_not_setting_the_flag_is_silent(self):
+    def test_construction_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SimulationConfig(params=PARAMS)
             SimulationConfig(params=PARAMS, strategy="honest")
-
-    def test_use_raises_under_W_error_DeprecationWarning(self):
-        """The `-W error::DeprecationWarning` contract: legacy use becomes an error."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="'selfish' flag"):
-                SimulationConfig(params=PARAMS, selfish=True)
-
-    def test_both_set_error_keeps_precedence_over_the_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ParameterError, match="conflicts"):
-                SimulationConfig(params=PARAMS, selfish=False, strategy="selfish")
-
-    def test_derived_copies_resolve_the_flag_and_stay_silent(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SimulationConfig(params=PARAMS, selfish=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            derived = legacy.with_seed(9)
-        assert derived.selfish is None
-        assert derived.strategy_name == "honest"
 
 
 class TestCopies:

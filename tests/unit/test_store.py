@@ -181,6 +181,25 @@ class TestPolicyStoreLevel:
         fresh = solve_optimal_policy(params, max_lead=8)
         assert again == fresh
 
+    def test_entry_under_the_unversioned_key_is_not_served(self, store):
+        from repro.mdp.solver import _policy_payload, _policy_store_key, clear_policy_cache, solve_optimal_policy
+        from repro.rewards.schedule import EthereumByzantiumSchedule, schedule_fingerprint
+        from repro.store import hash_payload
+
+        params = MiningParams(alpha=0.35, gamma=0.5)
+        schedule = EthereumByzantiumSchedule()
+        fresh = solve_optimal_policy(params, max_lead=8)
+        # The key format before POLICY_VERSION, holding values today's solve would not produce.
+        unversioned = hash_payload(
+            {"alpha": 0.35, "gamma": 0.5, "max_lead": 8, "schedule": list(schedule_fingerprint(schedule))}
+        )
+        assert unversioned != _policy_store_key(params, schedule, 8)
+        store.put(POLICY_NAMESPACE, unversioned, dict(_policy_payload(fresh), shares=[0.5]))
+        clear_policy_cache()
+        served = solve_optimal_policy(params, max_lead=8, store=store)
+        assert served.shares == fresh.shares != (0.5,)
+        assert store.count(POLICY_NAMESPACE) == 2
+
     def test_corrupted_policy_entry_recomputed(self, store):
         from repro.mdp.solver import clear_policy_cache, solve_optimal_policy
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.reward_cases import REWARD_COMPONENTS, transition_rewards
@@ -12,12 +13,23 @@ from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule
 from repro.simulation.rng import RandomSource
 from repro.simulation.tables import CompiledTransitionTables
 
+from markov_oracle import decision_transitions
+
 PARAMS = MiningParams(alpha=0.35, gamma=0.5)
 MAX_LEAD = 10**9
 
+#: Decision tables of the optimal-strategy MDP: Algorithm 1 (no overrides), and
+#: overrides at a lead of one, at the tie and at two deeper states.
+OVERRIDE_TABLES = [
+    frozenset(),
+    frozenset(State(*pair).encode() for pair in ((1, 0), (1, 1), (2, 0), (4, 1))),
+]
 
-def make_tables(params=PARAMS, schedule=None) -> CompiledTransitionTables:
-    return CompiledTransitionTables(params, schedule or EthereumByzantiumSchedule(), max_lead=MAX_LEAD)
+
+def make_tables(params=PARAMS, schedule=None, override_codes=frozenset()) -> CompiledTransitionTables:
+    return CompiledTransitionTables(
+        params, schedule or EthereumByzantiumSchedule(), max_lead=MAX_LEAD, override_codes=override_codes
+    )
 
 
 class TestCompilation:
@@ -30,11 +42,12 @@ class TestCompilation:
         tables.row_for(State(0, 0))
         assert tables.num_states == 1  # memoised
 
-    def test_thresholds_are_the_scalar_partial_sums(self):
-        tables = make_tables()
-        for state in (State(0, 0), State(1, 0), State(1, 1), State(2, 0), State(5, 2)):
+    @pytest.mark.parametrize("codes", OVERRIDE_TABLES)
+    def test_thresholds_are_the_scalar_partial_sums(self, codes):
+        tables = make_tables(override_codes=codes)
+        for state in (State(0, 0), State(1, 0), State(1, 1), State(2, 0), State(4, 1), State(5, 2)):
             row = tables.row_for(state)
-            transitions = list(transitions_from_state(state, PARAMS, max_lead=MAX_LEAD))
+            transitions = decision_transitions(state, PARAMS, state.encode() in codes, max_lead=MAX_LEAD)
             cumulative = 0.0
             expected = []
             for transition in transitions:
@@ -43,15 +56,22 @@ class TestCompilation:
             assert list(row[0]) == expected
             assert row[0][-1] == pytest.approx(1.0)
 
-    def test_reward_matrix_rows_match_transition_rewards(self):
-        tables = make_tables()
-        for state in (State(0, 0), State(1, 0), State(1, 1), State(2, 0), State(4, 1)):
+    @pytest.mark.parametrize("codes", OVERRIDE_TABLES)
+    def test_reward_matrix_rows_match_transition_rewards(self, codes):
+        tables = make_tables(override_codes=codes)
+        states = (State(0, 0), State(1, 0), State(1, 1), State(2, 0), State(4, 1), State(9, 3))
+        for state in states:
             tables.row_for(state)
+        expected = [
+            transition
+            for state in states
+            for transition in decision_transitions(state, PARAMS, state.encode() in codes, max_lead=MAX_LEAD)
+        ]
+        assert [tables.transition_at(index) for index in range(tables.num_transitions)] == expected
         matrix = tables.reward_matrix()
         assert matrix.shape == (tables.num_transitions, len(REWARD_COMPONENTS))
         schedule = EthereumByzantiumSchedule()
-        for index in range(tables.num_transitions):
-            transition = tables.transition_at(index)
+        for index, transition in enumerate(expected):
             record = transition_rewards(transition, PARAMS, schedule)
             assert tuple(matrix[index]) == record.component_vector()
 
@@ -71,9 +91,10 @@ class TestWalk:
         assert decode_state(trace[-1]) == final_state
         assert all(decode_state(code).is_valid() for code in trace)
 
-    def test_walk_matches_scalar_sampling(self):
+    @pytest.mark.parametrize("codes", OVERRIDE_TABLES)
+    def test_walk_matches_scalar_sampling(self, codes):
         """The compiled walk visits exactly the transitions the scalar sampler picks."""
-        tables = make_tables()
+        tables = make_tables(override_codes=codes)
         trace: list[int] = []
         counts, _ = tables.walk(State(0, 0), 2_000, RandomSource(7), trace=trace)
 
@@ -82,7 +103,7 @@ class TestWalk:
         expected_trace = []
         expected_counts: dict[tuple[int, int, int], int] = {}
         for _ in range(2_000):
-            transitions = list(transitions_from_state(state, PARAMS, max_lead=MAX_LEAD))
+            transitions = decision_transitions(state, PARAMS, state.encode() in codes, max_lead=MAX_LEAD)
             draw = rng.uniform()
             cumulative = 0.0
             chosen = transitions[-1]
@@ -122,6 +143,24 @@ class TestSettlement:
         assert settlement.regular_blocks == pytest.approx(regular, rel=1e-12)
         total = settlement.regular_blocks + settlement.uncle_blocks + settlement.stale_blocks
         assert total == pytest.approx(3_000, rel=1e-9)
+
+    def test_settle_is_counts_times_matrix_in_transition_order(self):
+        tables = make_tables()
+        counts, _ = tables.walk(State(0, 0), 3_000, RandomSource(11))
+        settlement = tables.settle(counts)
+        totals = dict(zip(REWARD_COMPONENTS, (np.asarray(counts, dtype=float) @ tables.reward_matrix()).tolist()))
+        assert settlement.pool.nephew == totals["pool_nephew"]
+        assert settlement.honest.uncle == totals["honest_uncle"]
+        assert settlement.stale_blocks == totals["stale"]
+        # The histograms add count * value transition by transition.
+        schedule = EthereumByzantiumSchedule()
+        honest: dict[int, float] = {}
+        for index, count in enumerate(counts):
+            record = transition_rewards(tables.transition_at(index), PARAMS, schedule)
+            value = record.uncle_probability * (1.0 - record.pool_mined_probability)
+            if count and record.uncle_distance is not None and value > 0.0:
+                honest[record.uncle_distance] = honest.get(record.uncle_distance, 0.0) + count * value
+        assert settlement.honest_uncle_distance_counts == dict(sorted(honest.items()))
 
     def test_distance_histograms_only_hold_visited_distances(self):
         tables = make_tables()
