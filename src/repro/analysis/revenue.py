@@ -2,7 +2,7 @@
 
 :class:`RevenueModel` combines the three ingredients of the analysis:
 
-1. the truncated Markov chain and its stationary distribution (:mod:`repro.markov`),
+1. the Markov chain's long-run law, lumped on the pool's lead (:mod:`repro.markov`),
 2. the per-transition expected rewards (:mod:`repro.analysis.reward_cases`),
 3. a reward schedule (:mod:`repro.rewards.schedule`),
 
@@ -12,9 +12,10 @@ quantities behind every figure and table of the paper's evaluation.
 
 The computation is a single weighted sum: for every transition ``t`` out of state
 ``s``, the expected reward record of ``t`` is weighted by ``pi(s) * rate(t)`` — the
-long-run frequency of that transition — and accumulated.  Transitions sharing an
-Appendix-B case and uncle distance share their record, and so do cases 7-10 at
-one distance, so the sum runs over those pricing groups: :class:`GroupRecords`
+long-run frequency of that transition — and accumulated, where ``pi`` is the
+chain's law lumped on the lead, one representative state per lead class.
+Transitions sharing an Appendix-B case and uncle distance share their record, and
+so do cases 7-10 at one distance, so the sum runs over those pricing groups: :class:`GroupRecords`
 prices each record once and :func:`fold_revenue` turns the frequencies into
 :class:`RevenueRates` with one dot product per rate.  The optimal-strategy MDP
 (:mod:`repro.mdp`) and the markov sampler (:mod:`repro.simulation.tables`) price
@@ -28,10 +29,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import StateSpaceError
-from ..markov.chain import MarkovChain
-from ..markov.state import State
-from ..markov.stationary import StationaryResult
 from ..markov.stationary import stationary_distribution  # noqa: F401 - perfbench/spans.py patches this binding
 from ..markov.transitions import CompiledSelfishChain, SelfishTransition, compiled_selfish_chain, pricing_key
 from ..markov.transitions import selfish_mining_transitions  # noqa: F401 - perfbench/spans.py patches this binding
@@ -83,11 +80,6 @@ class RevenueRates:
     def honest(self) -> PartyRewards:
         """Reward rates of honest miners (``r_b^h``, ``r_u^h``, ``r_n^h``)."""
         return self.split.honest
-
-    @property
-    def total_revenue_rate(self) -> float:
-        """The paper's ``r_total`` (Eq. 10)."""
-        return self.split.total
 
     @property
     def relative_pool_revenue(self) -> float:
@@ -195,27 +187,21 @@ class RevenueModel:
     schedule:
         Reward schedule (defaults to the Ethereum Byzantium rules).
     max_lead:
-        Truncation of the Markov state space: the longest private branch kept.
-        It caps the branch, not the lead, so the error depends on ``gamma``: at
-        ``gamma = 0`` a race never shortens the pool's branch and long races pile
-        up at the cap.  The default of 60 moves the pool's share ``Rs`` from its
-        value at the paper's 200 by about ``1.5e-2`` at ``alpha = 0.45, gamma = 0``,
-        ``5e-4`` at ``(0.40, 0)`` and ``1.5e-8`` at ``(0.30, 0)``; at ``gamma = 0.5``
-        by ``1.9e-6`` at ``alpha = 0.45``, ``1.6e-11`` at ``0.40`` and below
-        ``1e-16`` at ``alpha <= 0.35``.  Pass 200 for the paper's tails; its solve
-        takes about 25 ms.
+        Truncation of the Markov chain: the longest pool lead kept.  The chain is
+        priced on its exact lumping onto the lead
+        (:meth:`~repro.markov.transitions.CompiledSelfishChain.lead_class_masses`),
+        so the only error is the mass beyond the cap, about
+        ``(alpha / beta) ** max_lead`` and independent of ``gamma``.  The
+        default of 60 moves the pool's share ``Rs`` from its exact value by
+        about ``1.2e-6`` at ``alpha = 0.45``, ``5e-12`` at ``0.40`` and below
+        ``1e-16`` at ``alpha <= 0.35``.
 
     The transition structure of each truncation is compiled once per process
     (:func:`~repro.markov.transitions.compiled_selfish_chain`) and shared by every
-    model.  A parameter point then costs one gather of the rates, the structured
-    stationary solve
-    (:meth:`~repro.markov.transitions.CompiledSelfishChain.stationary`: a sweep
-    and one dense ``(max_lead-2)``-square solve, which raises
-    :class:`~repro.errors.SolverError` if it fails), one pricing of each group
-    with :func:`~repro.analysis.reward_cases.transition_rewards` (67 at
-    ``max_lead=60``) and a few dot products: about 1.3 ms at ``max_lead=60`` on
-    one core of a 2-vCPU Xeon.  :meth:`revenue_rates` and :meth:`stationary` use
-    the same solve.
+    model.  A parameter point then costs one gather of the rates, the closed-form
+    lead-class masses, one pricing of each group with
+    :func:`~repro.analysis.reward_cases.transition_rewards` (67 at
+    ``max_lead=60``) and a few dot products.
     """
 
     #: Default truncation level; see the class docstring.
@@ -230,45 +216,11 @@ class RevenueModel:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
 
-    def build_chain(self, params: MiningParams) -> MarkovChain[State]:
-        """The truncated selfish-mining chain at ``params`` over this model's state space."""
-        return compiled_selfish_chain(self.max_lead).chain(params)
-
-    def stationary(self, params: MiningParams) -> StationaryResult:
-        """Stationary distribution of the chain at ``params``, from the solve :meth:`revenue_rates` uses."""
-        chain = self.build_chain(params)
-        probabilities = compiled_selfish_chain(self.max_lead).stationary(params)
-        return StationaryResult(
-            chain=chain,
-            probabilities=tuple(probabilities.tolist()),
-            method="structured",
-            residual=float(np.max(np.abs(probabilities @ chain.generator_matrix()))),
-        )
-
     # ------------------------------------------------------------------ public API
-    def revenue_rates(self, params: MiningParams, *, stationary: StationaryResult | None = None) -> RevenueRates:
-        """Compute the long-run revenue and block rates at ``params``.
-
-        Parameters
-        ----------
-        params:
-            The ``(alpha, gamma)`` point to evaluate.
-        stationary:
-            Optionally, a pre-computed stationary distribution.  It must belong to a
-            chain over this model's truncated state space; any other raises
-            :class:`~repro.errors.StateSpaceError`.
-        """
+    def revenue_rates(self, params: MiningParams) -> RevenueRates:
+        """Compute the long-run revenue and block rates at ``params``."""
         compiled = compiled_selfish_chain(self.max_lead)
-        if stationary is None:
-            probabilities = compiled.stationary(params)
-        elif stationary.chain.states != compiled.space.states:
-            raise StateSpaceError(
-                f"stationary distribution over {len(stationary.chain)} states does not belong to "
-                f"this model's truncation (max_lead={self.max_lead}, {len(compiled.space)} states)"
-            )
-        else:
-            probabilities = np.asarray(stationary.probabilities)
-        frequencies = probabilities[compiled.sources] * compiled.rates(params)
+        frequencies = compiled.lead_class_masses(params)[compiled.sources] * compiled.rates(params)
         records = GroupRecords(params, self.schedule).matrix(compiled)
         return fold_revenue(params, frequencies, compiled.groups, records, compiled.group_distances)
 

@@ -87,14 +87,12 @@ def profitable_threshold(
     model:
         Optionally, a pre-configured :class:`RevenueModel` (any schedule).  Building
         one is cheap: the chain structure is compiled once per truncation and
-        cached, and each evaluated point costs one structured stationary solve
-        plus the pricing.
+        cached, and each evaluated point costs the closed-form lead-class
+        masses plus the pricing.
     max_lead:
-        Truncation used when building a model on the fly.  At 60 the pool's
-        share moves from its value at the paper's 200 by at most ``2e-6`` at
-        ``gamma = 0.5`` or 1 and ``alpha <= 0.45``, but by up to ``1.5e-2`` at
-        ``gamma = 0`` and ``alpha = 0.45`` (see :class:`RevenueModel`); pass 200
-        for thresholds near that corner.
+        Longest pool lead kept when building a model on the fly.  At 60 the
+        pool's share moves from its exact value by at most ``1.2e-6`` for
+        ``alpha <= 0.45`` and any ``gamma`` (see :class:`RevenueModel`).
     grid_points:
         Number of points in the initial bracketing scan.
     tolerance:

@@ -34,7 +34,8 @@ MAX_UNCLES_PER_BLOCK: Final[int] = 2
 
 #: Default truncation of the Markov state space.  The paper (footnote 3) truncates the
 #: private-branch length at 200 states and reports that this is accurate for
-#: ``alpha <= 0.45``.
+#: ``alpha <= 0.45``.  The analysis drivers pass their own ``max_lead`` (60), which
+#: :class:`~repro.analysis.revenue.RevenueModel` applies to the lead.
 DEFAULT_STATE_TRUNCATION: Final[int] = 200
 
 #: Default tie-breaking parameter gamma when honest miners use the uniform rule.

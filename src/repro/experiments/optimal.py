@@ -2,12 +2,13 @@
 
 The driver charts, over an ``alpha x gamma`` grid, the pool's *optimal* relative
 revenue — the value of the withhold/override decision process solved by
-:mod:`repro.mdp` — next to the analytical revenue of the paper's Algorithm 1 and
-the honest baseline (``revenue = alpha``).  Because Algorithm 1 and honest mining
-are both corners of the MDP's policy space, the optimal column dominates the
-other two pointwise, and the point where its policy structure flips from
-"honest" to "selfish" *is* the paper's profitability threshold, rediscovered by
-the solver rather than read off a revenue crossing.
+:mod:`repro.mdp` — next to the revenue of the paper's Algorithm 1 in the same
+truncated chain and the honest baseline (``revenue = alpha``).  Because
+Algorithm 1 and honest mining are both corners of the MDP's policy space, the
+optimal column dominates the other two pointwise, and the point where its
+policy structure flips from "honest" to "selfish" *is* the paper's
+profitability threshold, rediscovered by the solver rather than read off a
+revenue crossing.
 
 Two optional simulation sections back the analysis with Monte Carlo:
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..analysis.revenue import RevenueModel
 from ..analysis.sweep import alpha_grid
 from ..errors import ParameterError
 from ..mdp.solver import DEFAULT_POLICY_MAX_LEAD, OptimalPolicyResult, solve_optimal_policy
@@ -61,12 +61,22 @@ class OptimalFrontierCell:
 
     params: MiningParams
     policy: OptimalPolicyResult
-    selfish_revenue: float
 
     @property
     def optimal_revenue(self) -> float:
         """The solved optimal relative revenue."""
         return self.policy.optimal_share
+
+    @property
+    def selfish_revenue(self) -> float:
+        """Algorithm 1's relative revenue in the solver's own truncated chain.
+
+        The first share of the solve, so the frontier compares like with like:
+        the MDP caps the private branch at ``max_lead``, while
+        :class:`~repro.analysis.revenue.RevenueModel` lumps the chain on the lead
+        and is exact at ``gamma = 0``, where the cap costs up to ``1.7e-2``.
+        """
+        return self.policy.shares[0]
 
     @property
     def honest_revenue(self) -> float:
@@ -298,16 +308,12 @@ def run_optimal(
         simulation_blocks = min(simulation_blocks, 4_000)
         simulation_runs = 1
 
-    model = RevenueModel(resolved_schedule, max_lead=max_lead)
     cells: dict[tuple[float, float], OptimalFrontierCell] = {}
     for gamma in gammas:
         for alpha in alphas:
             params = MiningParams(alpha=alpha, gamma=gamma)
             policy = solve_optimal_policy(params, resolved_schedule, max_lead=max_lead, store=store)
-            selfish = model.relative_pool_revenue(params) if alpha > 0.0 else 0.0
-            cells[(alpha, gamma)] = OptimalFrontierCell(
-                params=params, policy=policy, selfish_revenue=selfish
-            )
+            cells[(alpha, gamma)] = OptimalFrontierCell(params=params, policy=policy)
 
     validation_gamma = VALIDATION_GAMMA if VALIDATION_GAMMA in gammas else gammas[0]
     simulated_optimal: tuple[AggregatedResult, ...] = ()

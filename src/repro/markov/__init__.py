@@ -6,7 +6,7 @@ public branch lengths, Section IV-B).  This subpackage provides:
 
 * :mod:`repro.markov.state` — the state type and truncated state-space enumeration,
 * :mod:`repro.markov.transitions` — the transition rates of Section IV-C and the
-  compiled chain with its structured stationary solve,
+  compiled chain with its law lumped on the pool's lead,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
 * :mod:`repro.markov.stationary` — generic stationary-distribution solvers,
 * :mod:`repro.markov.closed_form` — the closed-form distribution of Eq. (2) and the

@@ -15,7 +15,6 @@ assert it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Generic, Hashable, Iterable, Sequence, TypeVar
 
@@ -71,7 +70,7 @@ class MarkovChain(Generic[StateT]):
             if state in self._index:
                 raise StateSpaceError(f"duplicate state {state!r} in state list")
             self._index[state] = position
-        self._transitions: tuple[Transition[StateT], ...] | None = tuple(transitions)
+        self._transitions: tuple[Transition[StateT], ...] = tuple(transitions)
         for transition in self._transitions:
             if transition.source not in self._index:
                 raise StateSpaceError(f"transition source {transition.source!r} not in state list")
@@ -81,29 +80,6 @@ class MarkovChain(Generic[StateT]):
         self._sources = np.array([self._index[t.source] for t in self._transitions], dtype=np.intp)
         self._targets = np.array([self._index[t.target] for t in self._transitions], dtype=np.intp)
         self._rates = np.array([t.rate for t in self._transitions], dtype=float)
-        self._labels = tuple(t.label for t in self._transitions)
-        # Read-only: with_rates shares them between chains, and callers see them.
-        for array in (self._sources, self._targets, self._rates):
-            array.flags.writeable = False
-
-    def with_rates(self, rates: Sequence[float] | np.ndarray) -> "MarkovChain[StateT]":
-        """This chain's states and transition structure with new per-transition ``rates``.
-
-        ``rates[k]`` replaces the rate of ``transitions[k]``.  The states, their index
-        and the source/target arrays are shared, not copied, and the
-        :class:`Transition` objects are only built if :attr:`transitions` is read, so
-        re-rating a fixed structure costs a vector copy.
-        """
-        rates = np.array(rates, dtype=float)
-        if rates.shape != self._rates.shape:
-            raise StateSpaceError(f"expected {self._rates.size} rates, got shape {rates.shape}")
-        if np.any(rates < 0):
-            raise StateSpaceError("transition rates must be non-negative")
-        rates.flags.writeable = False
-        chain = copy.copy(self)
-        chain._rates = rates
-        chain._transitions = None
-        return chain
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -114,30 +90,7 @@ class MarkovChain(Generic[StateT]):
     @property
     def transitions(self) -> tuple[Transition[StateT], ...]:
         """All transitions, in construction order."""
-        if self._transitions is None:
-            states = self._states
-            self._transitions = tuple(
-                Transition(states[source], states[target], rate, label)
-                for source, target, rate, label in zip(
-                    self._sources.tolist(), self._targets.tolist(), self._rates.tolist(), self._labels
-                )
-            )
         return self._transitions
-
-    @property
-    def source_indices(self) -> np.ndarray:
-        """Dense index of each transition's source state, in transition order."""
-        return self._sources
-
-    @property
-    def target_indices(self) -> np.ndarray:
-        """Dense index of each transition's target state, in transition order."""
-        return self._targets
-
-    @property
-    def rates(self) -> np.ndarray:
-        """Rate of each transition, in transition order."""
-        return self._rates
 
     def __len__(self) -> int:
         return len(self._states)

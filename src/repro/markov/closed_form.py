@@ -15,11 +15,11 @@ paper; because the published formula leaves the value of ``f(x, y, 0)`` (which a
 in its last sum when ``k = j``) to interpretation, :func:`pi_ij` accepts a
 ``f_zero_convention`` argument and the test-suite records how well each convention
 matches the numerical stationary distribution.  All revenue results in this package
-are computed from the structured numerical solve
-(:meth:`repro.markov.transitions.CompiledSelfishChain.stationary`).  It writes
-``pi_{i,0}`` and ``pi_{1,1}`` relative to ``pi_{0,0}`` directly and reaches every
-other state by a recursion on the chain's structure, so this ambiguity does not
-affect any reproduced figure.
+are computed from the chain lumped on the pool's lead
+(:meth:`repro.markov.transitions.CompiledSelfishChain.lead_class_masses`).  Its
+masses are the first three expressions and, per lead ``l >= 2``, the total
+``alpha**l / beta**(l-1)`` of the ``j >= 1`` states in closed form, so it never
+needs ``pi_{i,j}`` and this ambiguity does not affect any reproduced figure.
 """
 
 from __future__ import annotations

@@ -30,20 +30,21 @@ Truncation: for states with ``Ls == max_lead`` the pool-extension transition (ca
 would leave the truncated space; it is redirected to a self-loop so that every state
 keeps a unit exit rate (the paper makes the same approximation, footnote 3).  The
 cap is on the private branch ``Ls``, not on the lead: at ``gamma = 0`` a race never
-shortens the pool's branch, so long races with a small lead pile up at the cap and
-the error does not decay like ``(alpha / beta) ** max_lead``.  Measured against the
-paper's 200, the default 60 moves the pool's share by ``1.5e-2`` at
-``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at ``(0.40, 0)`` and ``1.9e-6`` at
-``(0.45, 0.5)`` (see :class:`~repro.analysis.revenue.RevenueModel`; ROADMAP item 2
-removes the error by lumping the chain on the lead).
+shortens the pool's branch, so long races with a small lead pile up at the cap.
+The revenue analysis does not solve this 2-D chain: it lumps it exactly on the lead
+(:meth:`CompiledSelfishChain.lead_class_masses`), so ``max_lead`` caps the lead
+there and the error is about ``(alpha / beta) ** max_lead``.  The optimal-strategy
+MDP keeps the 2-D chain, because its OVERRIDE decision is per ``(Ls, Lh)``; at the
+default 60 its Algorithm-1 share is off from the exact lumped value by ``1.7e-2``
+at ``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at ``(0.40, 0)`` and ``1.9e-6`` at
+``(0.45, 0.5)`` (see :data:`~repro.mdp.solver.DEFAULT_POLICY_MAX_LEAD`).
 
 The structure (targets and kinds) does not depend on ``(alpha, gamma)``; only the
 rates do, and :func:`case_rates` is the one place they are written.
 :func:`compiled_selfish_chain` compiles the structure once per truncation; the
 revenue analysis, the optimal-strategy MDP (through :func:`overridden`, the pool's
 one alternative response) and the markov sampler all read it or
-:func:`successors` instead of enumerating transitions of their own.  The chain is
-solved by its structure (:meth:`CompiledSelfishChain.stationary`).
+:func:`successors` instead of enumerating transitions of their own.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import SolverError
 from ..params import MiningParams
 from .chain import MarkovChain, Transition
 from .state import ZERO_STATE, State, StateSpace
-from .stationary import _clean_distribution
 
 
 class TransitionKind(enum.Enum):
@@ -275,13 +274,12 @@ class CompiledSelfishChain:
     """The truncated chain's transition structure, compiled once per ``max_lead``.
 
     Holds, per transition in :func:`selfish_mining_transitions` order, the source
-    and target state indices and the Appendix-B case number, and a template
-    :class:`MarkovChain` with the targets and labels.  Only the rates depend on
-    ``(alpha, gamma)``: :meth:`rates` gathers them from :func:`case_rates` and
-    :meth:`chain` fills them into the template, so a parameter point costs a
-    vector copy instead of an enumeration.  :meth:`stationary` solves the chain by
-    its structure.  Get instances from :func:`compiled_selfish_chain`, which caches
-    one per truncation.
+    and target state indices and the Appendix-B case number.  Only the rates
+    depend on ``(alpha, gamma)``: :meth:`rates` gathers them from
+    :func:`case_rates`, so a parameter point costs a vector gather instead of an
+    enumeration.  :meth:`lead_class_masses` is the chain's long-run law lumped on
+    the lead.  Get instances from :func:`compiled_selfish_chain`, which caches one
+    per truncation.
 
     The transitions fall into pricing groups (:func:`pricing_key`), about one per
     lead length: ``groups[k]`` is the group of transition ``k``,
@@ -295,16 +293,13 @@ class CompiledSelfishChain:
     def __init__(self, max_lead: int) -> None:
         self.space = StateSpace(max_lead)
         max_lead = self.space.max_lead
+        index_of = self.space.index_of
         structure = [(state, target, kind) for state in self.space for target, kind in successors(state, max_lead)]
         override = [overridden(target, kind) for _, target, kind in structure]
         self.cases = np.array([kind.value for _, _, kind in structure], dtype=np.intp)
-        self._template = MarkovChain(
-            self.space.states,
-            [Transition(state, target, 0.0, kind.name) for state, target, kind in structure],
-        )
-        self.sources = self._template.source_indices
-        self.targets = self._template.target_indices
-        self.override_targets = np.array([self.space.index_of(target) for target, _ in override], dtype=np.intp)
+        self.sources = np.array([index_of(state) for state, _, _ in structure], dtype=np.intp)
+        self.targets = np.array([index_of(target) for _, target, _ in structure], dtype=np.intp)
+        self.override_targets = np.array([index_of(target) for target, _ in override], dtype=np.intp)
         keys = [pricing_key(kind, state) for state, _, kind in structure]
         heads: dict[tuple[int, int], int] = {}
         for position, key in enumerate(keys):
@@ -318,27 +313,23 @@ class CompiledSelfishChain:
         )
         self.group_distances = np.array([distance for _, distance in ordered], dtype=np.intp)
         self._heads = [structure[heads[key]] for key in ordered]
-        # Layout of the structured solve: the (i, 0) states for i = 0..max_lead,
-        # and the j >= 1 states in sweep order (by j, then i).
-        self._consensus_rows = np.array(
-            [self.space.index_of(State(i, 0)) for i in range(max_lead + 1)], dtype=np.intp
-        )
-        self._swept_rows = np.array(
-            [self.space.index_of(State(i, j)) for j in range(1, max_lead - 1) for i in range(j + 2, max_lead + 1)],
-            dtype=np.intp,
-        )
-        unknowns = max_lead - 2
-        self._lags = np.maximum(np.subtract.outer(np.arange(unknowns), np.arange(unknowns)), 0)
+        # The representative state of each lead class (see lead_class_masses):
+        # (lead, 0) for every lead 0..max_lead, the tie (1, 1), and (lead + 1, 1)
+        # for the j >= 1 class of every lead 2..max_lead-1.
+        self._consensus_rows = np.array([index_of(State(lead, 0)) for lead in range(max_lead + 1)], dtype=np.intp)
+        self._tie_row = index_of(State(1, 1))
+        self._race_rows = np.array([index_of(State(lead + 1, 1)) for lead in range(2, max_lead)], dtype=np.intp)
         # Every caller shares the cached instance.
         for array in (
             self.cases,
+            self.sources,
+            self.targets,
             self.override_targets,
             self.groups,
             self.override_groups,
             self.group_distances,
             self._consensus_rows,
-            self._swept_rows,
-            self._lags,
+            self._race_rows,
         ):
             array.flags.writeable = False
 
@@ -351,69 +342,41 @@ class CompiledSelfishChain:
         """Rate of every transition at ``params``, in :func:`selfish_mining_transitions` order."""
         return np.array(case_rates(params))[self.cases]
 
-    def chain(self, params: MiningParams) -> MarkovChain[State]:
-        """The truncated chain at ``params``; equal to :func:`build_selfish_mining_chain`'s."""
-        return self._template.with_rates(self.rates(params))
+    def lead_class_masses(self, params: MiningParams) -> np.ndarray:
+        """Long-run law of the chain lumped on the lead, in :class:`StateSpace` order.
 
-    def stationary(self, params: MiningParams) -> np.ndarray:
-        """Stationary distribution of :meth:`chain` at ``params``, in :class:`StateSpace` order.
+        From every state of lead ``l >= 2`` the pool's block moves to lead ``l+1``
+        at rate ``alpha`` and the honest blocks move to lead ``l-1`` at total rate
+        ``beta`` (cases 7 and 11 both land on lead ``l-1``), and every transition's
+        rate and pricing group depend only on its case and its source's lead and
+        ``j = 0`` or not.  So the chain lumps exactly onto the classes ``(0,0)``,
+        ``(1,0)``, ``(1,1)`` and, per lead ``l >= 2``, its ``j = 0`` state and its
+        ``j >= 1`` states.  Cutting the chain between lead ``l`` and ``l+1``
+        (``alpha * M_l = beta * M_{l+1}``) gives their masses in closed form,
+        before normalisation:
 
-        Solved by the chain's structure (Section IV-C, Appendix A) rather than by a
-        general factorisation.  With ``pi(0,0)`` anchored at 1 and ``L = max_lead``:
+        * ``pi(0,0) = 1``, ``pi(1,0) = alpha`` and ``pi(1,1) = alpha * beta``;
+        * lead ``l >= 2`` holds ``M_l = alpha**l / beta**(l-1)``, of which
+          ``pi(l,0) = alpha**l`` (Eq. 2) and the ``j >= 1`` class the rest.
 
-        * ``pi(i,0) = alpha**i`` and ``pi(1,1) = alpha*beta`` in closed form;
-        * every inflow to a ``j >= 2`` state comes from ``(i-1, j)`` at rate
-          ``alpha`` or from ``(i, j-1)`` at rate ``beta*(1-gamma)``, so a sweep
-          column by column writes each ``j >= 1`` state as a linear combination of
-          the ``L - 2`` unknowns ``pi(k,1)``, ``k = 3..L``;
-        * only case 7 (rate ``beta*gamma``) flows back, to ``(k,1)`` from the
-          states of lead ``k``, so the balance of the ``(k,1)`` states is one dense
-          ``(L-2) x (L-2)`` system; its solution gives every state and the whole
-          vector is normalised.
-
-        The boundary row ``i = L`` keeps the pool-extension mass as a self-loop, so
-        its balance divides by ``1 - alpha``.  Raises :class:`SolverError` if the
-        dense solve fails or yields a non-finite or significantly negative vector.
+        Each class's mass sits on one representative state, ``(l, 0)`` or
+        ``(l+1, 1)``, and every other entry is 0, so ``masses[sources] * rates``
+        are the long-run transition frequencies of the untruncated chain, up to
+        the leads above ``max_lead`` (and the ``j >= 1`` class of lead
+        ``max_lead``, which has no state here).  Those hold a share of about
+        ``(alpha / beta) ** max_lead`` of the mass: ``6e-6`` at ``alpha = 0.45``
+        and ``max_lead = 60``.
         """
-        alpha, beta, gamma = params.alpha, params.beta, params.gamma
-        unknowns = self.space.max_lead - 2
-        powers = alpha ** np.arange(self.space.max_lead + 1.0)
-        pi = np.empty(len(self.space))
-        pi[self._consensus_rows] = powers
-        pi[self._consensus_rows[-1]] /= beta
-        pi[2] = alpha * beta
-        if unknowns:
-            # Column j of the sweep is `step` applied to column j-1 without its
-            # lead-2 state: a geometric run along i (rate alpha) of the inflow from
-            # the honest branch.  Row r of `coefficients` writes the state
-            # _swept_rows[r] in the unknowns; column 1 is the unknowns themselves.
-            step = beta * (1.0 - gamma) * np.tril(powers[self._lags])
-            coefficients = np.empty((len(self._swept_rows), unknowns))
-            column = coefficients[:unknowns]
-            column[...] = np.eye(unknowns)
-            # back_flow[k-3] is the lead-k mass that case 7 returns to (k,1).
-            back_flow = np.zeros((unknowns, unknowns))
-            back_flow[:-1] += column[1:]
-            start = unknowns
-            for size in range(unknowns - 1, 0, -1):
-                previous, column = column, coefficients[start : start + size]
-                np.matmul(step[:size, :size], previous[1:], out=column)
-                column[-1] /= beta
-                back_flow[: size - 1] += column[1:]
-                start += size
-            # Balance of (k,1): exit rate 1 (beta at k = L, whose pool block is a
-            # self-loop) against case 7, (k-1,1) at rate alpha and (k,0) at rate beta.
-            balance = np.eye(unknowns) - beta * gamma * back_flow
-            balance[np.arange(1, unknowns), np.arange(unknowns - 1)] -= alpha
-            balance[-1, -1] -= alpha
-            try:
-                first = np.linalg.solve(balance, beta * pi[self._consensus_rows[3:]])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"structured stationary solve failed: {exc}") from exc
-            pi[self._swept_rows] = coefficients @ first
-        if not np.all(np.isfinite(pi)):
-            raise SolverError("structured stationary solve produced non-finite values")
-        return _clean_distribution(pi)
+        alpha = params.alpha
+        leads = np.arange(self.space.max_lead + 1.0)
+        masses = np.zeros(len(self.space))
+        masses[self._consensus_rows] = alpha**leads
+        masses[self._tie_row] = alpha * params.beta
+        races = leads[2:-1]
+        # M_l - alpha**l = alpha**l * (beta**(1-l) - 1), with expm1 so that a small
+        # alpha keeps its digits.
+        masses[self._race_rows] = alpha**races * np.expm1((1.0 - races) * np.log1p(-alpha))
+        return masses / masses.sum()
 
 
 @functools.lru_cache(maxsize=8)

@@ -47,12 +47,14 @@ from .model import MdpModel, PoolDecision
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from ..strategies.optimal import OptimalStrategy
 
-#: Default truncation of the solved policy's state space.  Matches the analytical
-#: :class:`~repro.analysis.revenue.RevenueModel` default, and shares its error: the
-#: cap is on the private branch, not on the lead, so at ``gamma = 0`` long races
-#: pile up at it.  For Algorithm 1 the share at 60 is off from its value at the
-#: paper's 200 by ``1.5e-2`` at ``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at
-#: ``(0.40, 0)`` and ``1.9e-6`` at ``(0.45, 0.5)`` (ROADMAP item 2).
+#: Default truncation of the solved policy's state space, the longest private
+#: branch kept.  The OVERRIDE decision is per ``(Ls, Lh)`` state, so the MDP keeps
+#: the 2-D chain instead of the analytical model's lumping on the lead, and the
+#: cap on the private branch errs most at ``gamma = 0``, where long races pile up
+#: at it.  For Algorithm 1 the share at 60 is off from the exact value
+#: (:class:`~repro.analysis.revenue.RevenueModel`) by ``1.7e-2`` at
+#: ``(alpha, gamma) = (0.45, 0)``, ``5.5e-4`` at ``(0.40, 0)`` and ``1.9e-6`` at
+#: ``(0.45, 0.5)``.
 DEFAULT_POLICY_MAX_LEAD = 60
 
 #: Version of the solve behind a stored policy, part of its store key: bump it

@@ -8,6 +8,9 @@ lengths they choose.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.revenue import RevenueModel
@@ -17,6 +20,10 @@ from repro.rewards.schedule import (
     EthereumByzantiumSchedule,
     FlatUncleSchedule,
 )
+
+# The test-side oracles in tests/unit (two_d_oracle, markov_oracle) are imported
+# by bare name from every test directory.
+sys.path.insert(0, str(Path(__file__).with_name("unit")))
 
 #: Parameter points exercised by many tests: a small, a paper-typical and a large pool,
 #: at a few different tie-breaking values.

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.analysis.revenue import RevenueModel
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule
 from repro.simulation.config import SimulationConfig
@@ -11,6 +14,20 @@ from repro.simulation.runner import run_many
 
 
 class TestBackendsAgree:
+    def test_markov_backend_matches_the_analytical_model_at_gamma_zero(self):
+        # At gamma = 0 a race never shortens the private branch.  The markov
+        # sampler keeps every lead, so it must converge to the lumped model's
+        # exact value, not to the 2-D chain capped at Ls <= 60 (0.594435, about
+        # eleven standard errors below).
+        params = MiningParams(alpha=0.45, gamma=0.0)
+        config = SimulationConfig(
+            params=params, schedule=EthereumByzantiumSchedule(), num_blocks=200_000, seed=77
+        )
+        share = run_many(config, 10, backend="markov").relative_pool_revenue
+        standard_error = share.std / math.sqrt(share.count)
+        expected = RevenueModel().relative_pool_revenue(params)
+        assert abs(share.mean - expected) <= 3 * standard_error, (share, expected)
+
     @pytest.mark.parametrize("alpha", [0.2, 0.4])
     def test_chain_and_markov_backends_produce_matching_revenues(self, alpha):
         config = SimulationConfig(

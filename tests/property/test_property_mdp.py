@@ -4,12 +4,11 @@ Three families of universally quantified facts:
 
 * **Solver optimality** — the solved share dominates every policy the MDP's
   family contains, in particular the analytically evaluable catalogue corners
-  (Algorithm 1 via :class:`~repro.analysis.revenue.RevenueModel`, honest mining's
-  ``revenue = alpha``), for random ``(alpha, gamma)`` points.
+  (Algorithm 1, honest mining's ``revenue = alpha``), for random ``(alpha, gamma)`` points.
 * **Policy-improvement monotonicity** — the Dinkelbach share sequence never
-  decreases, and pinning the policy to Algorithm 1 reproduces the
-  :class:`~repro.markov.chain.MarkovChain` stationary revenue exactly: the MDP is
-  a strict generalisation of the paper's chain, not a parallel implementation.
+  decreases, and pinning the policy to Algorithm 1 reproduces the stationary
+  revenue of the same truncated 2-D chain (:mod:`two_d_oracle`): the MDP is a
+  strict generalisation of the paper's chain, not a parallel implementation.
 * **Engine safety of arbitrary tables** — an :class:`OptimalStrategy` built from
   a *random* withhold/override table (not just solved ones) keeps every chain
   simulator invariant: the accounting closes, the tree validates, and overrides
@@ -22,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.analysis.revenue import RevenueModel
 from repro.chain.validation import validate_tree
 from repro.markov.state import State, StateSpace
 from repro.mdp.solver import MdpSolver
@@ -30,6 +28,8 @@ from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import ChainSimulator
 from repro.strategies import OptimalStrategy
+
+from two_d_oracle import two_d_revenue_rates
 
 #: Truncation used by the random-point solves: small enough that one solve costs
 #: milliseconds, and every analytical comparison uses the *same* truncation so
@@ -80,7 +80,7 @@ def test_selfish_pinned_value_matches_the_markov_chain_revenue(point):
     params = MiningParams(alpha=alpha, gamma=gamma)
     solver = MdpSolver(params, max_lead=MAX_LEAD)
     pinned = solver.evaluate(solver.model.selfish_policy())
-    expected = RevenueModel(max_lead=MAX_LEAD).revenue_rates(params)
+    expected = two_d_revenue_rates(params, MAX_LEAD)
     if alpha == 0.0:
         assert pinned.share == pytest.approx(0.0, abs=1e-15)
     else:

@@ -16,6 +16,8 @@ from repro.experiments.table2 import run_table2
 from repro.testing import FaultSpec, inject_faults
 from repro.utils.resilient import RetryPolicy
 
+from two_d_oracle import two_d_revenue_rates
+
 
 class TestOptimalFrontierDriver:
     @pytest.fixture(scope="class")
@@ -28,7 +30,11 @@ class TestOptimalFrontierDriver:
         assert set(result.cells) == {(alpha, 0.5) for alpha in result.alphas}
 
     def test_optimal_dominates_both_corners_in_every_cell(self, result):
+        # The selfish corner is Algorithm 1 in the solver's own truncated 2-D chain.
         for cell in result.cells.values():
+            selfish = two_d_revenue_rates(cell.params, result.max_lead).relative_pool_revenue
+            assert cell.selfish_revenue == pytest.approx(selfish, abs=1e-9)
+            assert cell.optimal_revenue >= selfish - 1e-9
             assert cell.advantage >= -1e-9
 
     def test_threshold_detected_and_policy_labels_flip(self, result):

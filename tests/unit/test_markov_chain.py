@@ -143,23 +143,6 @@ class TestGeneratorAssembly:
         assert np.allclose(new, old, rtol=0, atol=1e-15)
 
 
-class TestWithRates:
-    def test_replaces_rates_and_keeps_structure(self):
-        chain = two_state_chain(p=0.3, q=0.6)
-        rerated = chain.with_rates([0.5, 0.5, 0.25, 0.75])
-        assert rerated.states == chain.states
-        assert [t.rate for t in rerated.transitions] == [0.5, 0.5, 0.25, 0.75]
-        assert [t.rate for t in chain.transitions] == [0.3, 0.7, 0.6, pytest.approx(0.4)]
-        assert rerated.generator_matrix().toarray()[0, 1] == 0.5
-
-    def test_rejects_negative_or_misshaped_rates(self):
-        chain = two_state_chain()
-        with pytest.raises(StateSpaceError):
-            chain.with_rates([0.5, -0.5, 0.25, 0.75])
-        with pytest.raises(StateSpaceError):
-            chain.with_rates([0.5, 0.5])
-
-
 class TestValidation:
     def test_unit_exit_rate_check_passes_for_proper_chain(self):
         two_state_chain().validate(expect_unit_exit_rate=True)

@@ -9,12 +9,15 @@ from repro.errors import ConvergenceError, ParameterError
 from repro.markov.state import State
 from repro.mdp.model import PoolDecision
 from repro.mdp.solver import (
+    DEFAULT_POLICY_MAX_LEAD,
     MdpSolver,
     clear_policy_cache,
     solve_optimal_policy,
 )
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
+
+from two_d_oracle import two_d_revenue_rates
 
 MAX_LEAD = 20
 
@@ -25,11 +28,12 @@ def solver_at(alpha: float, gamma: float, **kwargs) -> MdpSolver:
 
 class TestPolicyEvaluation:
     def test_selfish_pinned_matches_the_analytical_revenue_model(self):
-        model = RevenueModel(max_lead=MAX_LEAD)
+        # The MDP truncates the 2-D chain at Ls <= MAX_LEAD, so its reference is
+        # that chain's revenue, not the lumped RevenueModel's.
         for alpha, gamma in [(0.2, 0.3), (0.35, 0.5), (0.45, 0.9)]:
             solver = solver_at(alpha, gamma)
             evaluation = solver.evaluate(solver.model.selfish_policy())
-            expected = model.revenue_rates(MiningParams(alpha=alpha, gamma=gamma))
+            expected = two_d_revenue_rates(MiningParams(alpha=alpha, gamma=gamma), MAX_LEAD)
             assert evaluation.share == pytest.approx(
                 expected.relative_pool_revenue, abs=1e-12
             )
@@ -49,6 +53,20 @@ class TestPolicyEvaluation:
         assert pinned.share == pytest.approx(0.3, abs=1e-12)
 
 
+class TestTruncationGap:
+    @pytest.mark.parametrize(
+        "alpha, gamma, bound", [(0.45, 0.0, 1.7e-2), (0.40, 0.0, 5.5e-4), (0.45, 0.5, 2e-6)]
+    )
+    def test_default_truncation_gap_is_as_documented(self, alpha, gamma, bound):
+        # DEFAULT_POLICY_MAX_LEAD quotes the gap between Algorithm 1's share in the
+        # MDP (the 2-D chain capped at Ls <= 60) and the exact lumped value.
+        params = MiningParams(alpha=alpha, gamma=gamma)
+        solver = MdpSolver(params, max_lead=DEFAULT_POLICY_MAX_LEAD)
+        share = solver.evaluate(solver.model.selfish_policy()).share
+        exact = RevenueModel(max_lead=200).relative_pool_revenue(params)
+        assert bound / 2 <= exact - share <= bound
+
+
 class TestSolve:
     def test_below_threshold_the_optimal_policy_is_honest(self):
         result = solver_at(0.1, 0.5).solve()
@@ -60,9 +78,7 @@ class TestSolve:
         result = solver_at(0.4, 0.5).solve()
         assert result.policy_label() == "selfish"
         assert result.divergence_from_selfish() == ()
-        expected = RevenueModel(max_lead=MAX_LEAD).relative_pool_revenue(
-            MiningParams(alpha=0.4, gamma=0.5)
-        )
+        expected = two_d_revenue_rates(MiningParams(alpha=0.4, gamma=0.5), MAX_LEAD).relative_pool_revenue
         assert result.optimal_share == pytest.approx(expected, abs=1e-12)
 
     def test_share_sequence_is_monotone_and_ends_at_the_optimum(self):
